@@ -1,6 +1,7 @@
 """Exact Koszul-flattening certificates and rank lower bounds for matrix multiplication."""
 
 from .exact_linalg import (
+    RANK_PRIME,
     ExactMatrix,
     commutator,
     det_exact,
@@ -9,6 +10,7 @@ from .exact_linalg import (
     matrix_from_json,
     matrix_to_json,
     rank_exact,
+    rank_mod,
     schur_block_det,
 )
 from .tensor_core import (

@@ -17,19 +17,23 @@ certify_border_rank restricts a tensor to a random (2p+1)-dimensional
 subspace of covectors, assembles the flattening, and returns
 ceil(rank / binom(2p,p)), a valid border-rank (hence rank) lower bound;
 binom(2p,p) is the flattening rank of a single rank-one tensor.
+
+The flattening rank is computed over GF(2^61 - 1) on the row-scaled integer
+matrix (exact_linalg.rank_mod).  That rank never exceeds the rank over Q, so
+the certified bound stays valid: an unlucky prime can only weaken a
+certificate, never inflate it.  Exact rational ranks remain wherever a lower
+rank would be unsound, such as the covector independence check.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact_linalg import rank_exact
+from .exact_linalg import RANK_PRIME, rank_mod
 from .flattening import assemble, build_flattening
 from .tensor_core import Tensor3, slice_family
 
@@ -171,18 +175,11 @@ class Certificate:
     trials: int
     alphas: tuple[tuple[Fraction, ...], ...]
     trial_ranks: tuple[int, ...]
+    prime: int
 
 
 def _child_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index * 7919 + 12345) % (2**63)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KOSZUL_RANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def certify_border_rank(
@@ -197,8 +194,8 @@ def certify_border_rank(
     Covectors default to random integer vectors with entries in [-9, 9]; an
     explicit alphas list replaces the random search (single evaluation).  The
     result is a valid lower bound for the border rank (hence rank) of the
-    tensor.  Trials are indexed, so results are reproducible for a given seed
-    regardless of the KOSZUL_RANK_THREADS parallelism cap.
+    tensor: ranks are taken mod RANK_PRIME, which can only under-report them.
+    Trials are indexed, so results are reproducible for a given seed.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -215,7 +212,7 @@ def certify_border_rank(
         except ValueError:
             return None
         sym, _ = build_flattening(family)
-        rank = rank_exact(assemble(sym, family))
+        rank = rank_mod(assemble(sym, family))
         return rank, tuple(tuple(Fraction(x) for x in a) for a in alpha_list)
 
     if alphas is not None:
@@ -224,7 +221,7 @@ def certify_border_rank(
             raise DegenerateSubspaceError("provided covectors are dependent")
         rank, used = result
         return Certificate(
-            -(-rank // divisor), rank, divisor, p, seed, 1, used, (rank,)
+            -(-rank // divisor), rank, divisor, p, seed, 1, used, (rank,), RANK_PRIME
         )
 
     def run_trial(index: int):
@@ -232,18 +229,13 @@ def certify_border_rank(
         draw = [[rng.randint(-9, 9) for _ in range(tensor.dim_a)] for _ in range(count)]
         return evaluate(draw)
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(i) for i in range(trials)]
-
+    results = [run_trial(i) for i in range(trials)]
     usable = [(rank, used, i) for i, r in enumerate(results) if r is not None for rank, used in [r]]
     if not usable:
         raise DegenerateSubspaceError("degenerate subspace after all trials")
     best_rank, best_alphas, _ = max(usable, key=lambda t: (t[0], -t[2]))
     ranks = tuple(rank for rank, _, _ in usable)
     return Certificate(
-        -(-best_rank // divisor), best_rank, divisor, p, seed, trials, best_alphas, ranks
+        -(-best_rank // divisor), best_rank, divisor, p, seed, trials, best_alphas, ranks,
+        RANK_PRIME,
     )

@@ -3,7 +3,7 @@
 Every command takes --seed (default 0) and echoes it in the output; identical
 invocations produce byte-identical output.  Table formats: md (default), csv,
 json.  Exit codes: 0 success, 1 check failure, 2 input error, 3 degenerate
-computation.  KOSZUL_RANK_THREADS caps internal trial parallelism.
+computation.
 """
 
 from __future__ import annotations
@@ -208,6 +208,7 @@ def _cmd_certify(args) -> int:
         "flattening_rank": certificate.flattening_rank,
         "divisor": certificate.divisor,
         "p": certificate.p,
+        "prime": certificate.prime,
         "seed": certificate.seed,
         "trials": certificate.trials,
         "trial_ranks": list(certificate.trial_ranks),

@@ -7,6 +7,13 @@ ranks go through fraction-free (Bareiss) elimination on an integer-scaled copy
 of the matrix, which keeps intermediate entries polynomially sized instead of
 letting rational numerators blow up.
 
+Beside Bareiss, rank_mod computes the rank of the same integer-scaled copy
+over GF(RANK_PRIME), RANK_PRIME = 2^61 - 1, by plain row echelon with modular
+inverses.  It is much faster on large sparse flattenings and never exceeds the
+exact rank, so it may stand in for rank_exact only where a lower rank can only
+weaken a result (border-rank certificates), never where it would change a
+decision (independence checks).
+
 Also provides the two classical determinant identities used throughout:
 
   schur_block_det    det [[X,Y],[Z,W]] = det(X) det(W - Z X^-1 Y)
@@ -24,6 +31,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+# Mersenne prime 2^61 - 1.  A nonzero integer minor vanishes mod it only when
+# the prime divides it, so on random flattenings a rank drop is rare, and it
+# can only weaken a bound.
+RANK_PRIME = 2**61 - 1
 
 
 def _coerce(value) -> Fraction:
@@ -144,7 +156,7 @@ def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], Fraction]:
     for row in m:
         d = math.lcm(*(x.denominator for x in row)) if row else 1
         scale *= d
-        grid.append([int(x * d) for x in row])
+        grid.append([x.numerator * (d // x.denominator) for x in row])
     return grid, scale
 
 
@@ -223,6 +235,43 @@ def rank_exact(m: ExactMatrix) -> int:
                 row_i[j] = quotient
             row_i[c] = 0
         prev = prc
+        r += 1
+    return r
+
+
+def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
+    """Rank over GF(prime) of the row-scaled integer copy of m.
+
+    Never exceeds rank_exact(m): a minor that vanishes over the integers also
+    vanishes mod prime, so an unlucky prime can only under-report the rank.
+    """
+    nrows, ncols = m.shape
+    if nrows == 0 or ncols == 0:
+        return 0
+    grid, _ = _integer_grid(m)
+    a = [[x % prime for x in row] for row in grid]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), -1)
+        if piv < 0:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        row_r = a[r]
+        inv = pow(row_r[c], -1, prime)
+        # flattenings are sparse: update only rows with a nonzero in column c,
+        # and in them only the columns where the pivot row is nonzero (column
+        # c itself is never read again)
+        tail = [(j, row_r[j]) for j in range(c + 1, ncols) if row_r[j]]
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            aic = row_i[c]
+            if aic:
+                f = aic * inv % prime
+                for j, y in tail:
+                    row_i[j] = (row_i[j] - f * y) % prime
         r += 1
     return r
 

@@ -322,25 +322,17 @@ def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> 
         raise ValueError("commutator grid determinant vanishes")
     if value != witness.grid_det:
         raise ValueError("stored grid determinant does not replay")
-    # every alpha must live inside the claimed supports
-    coords = {}
-    for idx, b in enumerate(basis):
-        for i in range(n):
-            for j in range(n):
-                if b[i, j]:
-                    coords.setdefault(idx, []).append((i, j))
-    # generic basis: express each alpha in the basis and check support containment
+    # every alpha must live inside the claimed supports: express each alpha
+    # in the basis and check that its coordinates stay in the union
     columns = ExactMatrix(
         [[b[i, j] for b in basis] for i in range(n) for j in range(n)]
     )
     inv_columns = invert(columns)
-    stage_members = (set(witness.support0) | set(witness.support1)
-                     | set(witness.support2) | set(witness.support3))
     for which, alpha in enumerate(witness.alphas):
         vec = ExactMatrix([[alpha[i, j]] for i in range(n) for j in range(n)])
         coeffs = inv_columns * vec
         used = {idx for idx in range(len(basis)) if coeffs[idx, 0] != 0}
-        if not used <= stage_members:
+        if not used <= union:
             raise ValueError(f"alpha^{which} uses basis vectors outside the supports")
 
 

@@ -1,6 +1,8 @@
 """Bound formulas, crossover scans, and border-rank certificates."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from koszul_rank.bounds import (
     certify_border_rank,
     crossover,
 )
-from koszul_rank.tensor_core import Tensor3, matmul_tensor
+from koszul_rank.exact_linalg import RANK_PRIME
+from koszul_rank.tensor_core import Tensor3, matmul_tensor, tensor_from_json
 from oracles import gauss_rank, koszul_matrix
 
 
@@ -151,11 +154,27 @@ def test_certificate_deterministic_per_seed():
     assert isinstance(c, Certificate)  # different seed may differ; both valid
 
 
-def test_certificate_threads_do_not_change_result(monkeypatch):
-    tensor = matmul_tensor(2, 2, 2)
-    base = certify_border_rank(tensor, 1, seed=3)
-    monkeypatch.setenv("KOSZUL_RANK_THREADS", "4")
-    assert certify_border_rank(tensor, 1, seed=3) == base
+def test_certificate_rational_tensor_matches_oracle():
+    # "p/q" entries make the row scaling of the flattening nontrivial; a sum
+    # of three rank-one terms keeps its rank (at most 3 * binom(2,1) = 6)
+    # below its side 12, so an over-reported rank would show
+    rng = random.Random(17)
+    dims = (3, 4, 4)
+    total = {}
+    for _ in range(3):
+        a, b, c = (
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for d in dims
+        )
+        for i, j, k in itertools.product(*(range(d) for d in dims)):
+            total[(i, j, k)] = total.get((i, j, k), 0) + a[i] * b[j] * c[k]
+    entries = [[i, j, k, f"{v.numerator}/{v.denominator}"] for (i, j, k), v in total.items()]
+    tensor = tensor_from_json({"dims": list(dims), "entries": entries})
+    assert any(v.denominator > 1 for v in tensor.entries.values())
+    certificate = certify_border_rank(tensor, 1, seed=4)
+    assert certificate.prime == RANK_PRIME
+    oracle = gauss_rank(koszul_matrix(tensor, [list(a) for a in certificate.alphas]))
+    assert certificate.flattening_rank == oracle == 6
+    assert certificate.bound == 3
 
 
 def test_certificate_explicit_alphas():

@@ -92,6 +92,7 @@ def test_certify_from_file(tmp_path, capsys):
     assert payload["bound"] == 6
     assert payload["divisor"] == 2
     assert payload["flattening_rank"] == 12
+    assert payload["prime"] == 2**61 - 1
     assert payload["seed"] == 0
     assert len(payload["alphas"]) == 3
 

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul_rank.exact_linalg import (
+    RANK_PRIME,
     ExactMatrix,
     commutator,
     det_exact,
@@ -17,6 +20,7 @@ from koszul_rank.exact_linalg import (
     random_int_matrix,
     random_invertible,
     rank_exact,
+    rank_mod,
     schur_block_det,
 )
 from oracles import cofactor_det, gauss_det, gauss_rank
@@ -87,6 +91,71 @@ def test_rank_against_oracle_and_transpose():
         r = rank_exact(m)
         assert r == gauss_rank([list(row) for row in m])
         assert r == rank_exact(m.transpose())
+
+
+# -- rank modulo a prime --------------------------------------------------------
+
+INTEGERS = st.integers(-9, 9)
+RATIONALS = INTEGERS | st.fractions(-9, 9, max_denominator=6)
+SMALL_PRIMES = st.sampled_from([2, 3, 5, 7])
+# derandomized: the suite draws the same examples on every run
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw, values=RATIONALS):
+    """Matrices up to 6x6; about half are rank-deficient products."""
+    rows, cols, inner = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def grid(r, c):
+        return ExactMatrix(
+            draw(st.lists(st.lists(values, min_size=c, max_size=c), min_size=r, max_size=r))
+        )
+
+    if inner < min(rows, cols):
+        return grid(rows, inner) * grid(inner, cols)
+    return grid(rows, cols)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_mod_equals_exact_rank_with_default_prime(m):
+    exact = rank_exact(m)
+    assert exact == gauss_rank([list(row) for row in m])
+    assert rank_mod(m) == exact
+
+
+@PROPERTY
+@given(matrices(), SMALL_PRIMES)
+def test_rank_mod_never_exceeds_exact_rank(m, prime):
+    assert rank_mod(m, prime) <= rank_exact(m)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_mod_transpose_invariant(m):
+    assert rank_mod(m) == rank_mod(m.transpose())
+
+
+@PROPERTY
+@given(matrices(INTEGERS), SMALL_PRIMES)
+def test_rank_mod_transpose_invariant_small_prime(m, prime):
+    # integer entries need no row scaling, so m and m^t reduce to
+    # transposed matrices over GF(prime)
+    assert rank_mod(m, prime) == rank_mod(m.transpose(), prime)
+
+
+def test_rank_mod_one_sided_example():
+    m = ExactMatrix([[3, 0], [0, 1]])
+    assert rank_mod(m, 3) == 1
+    assert rank_exact(m) == 2
+    assert rank_mod(m) == 2
+
+
+def test_rank_mod_empty_and_zero():
+    for m in (ExactMatrix([]), ExactMatrix([[], []]), ExactMatrix.zeros(3, 4)):
+        assert rank_mod(m) == 0
+        assert rank_mod(m, 2) == 0
 
 
 def test_elimination_fuzz_structured_inputs():
