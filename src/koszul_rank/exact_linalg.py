@@ -2,17 +2,21 @@
 
 Everything downstream (flattening ranks, determinant identities, border-rank
 certificates) reduces to exact determinants and ranks, so this module is the
-workhorse.  Matrices store ``fractions.Fraction`` entries; determinants and
-ranks go through fraction-free (Bareiss) elimination on an integer-scaled copy
-of the matrix, which keeps intermediate entries polynomially sized instead of
-letting rational numerators blow up.
+workhorse.  Matrix entries are Python ``int`` when integral and
+``fractions.Fraction`` only when truly rational, so products of integer
+matrices never touch Fraction arithmetic.  Determinants and ranks go through
+fraction-free (Bareiss) elimination on an integer-scaled copy of the matrix,
+which keeps intermediate entries polynomially sized instead of letting
+rational numerators blow up.
 
-Beside Bareiss, rank_mod computes the rank of the same integer-scaled copy
-over GF(RANK_PRIME), RANK_PRIME = 2^61 - 1, by plain row echelon with modular
-inverses.  It is much faster on large sparse flattenings and never exceeds the
-exact rank, so it may stand in for rank_exact only where a lower rank can only
-weaken a result (border-rank certificates), never where it would change a
-decision (independence checks).
+Beside Bareiss, rank_mod and det_mod row-echelon the same integer-scaled copy
+over GF(RANK_PRIME), RANK_PRIME = 2^61 - 1, with modular inverses.  Both are
+sound in one direction only.  rank_mod never exceeds the exact rank, so it
+may stand in for rank_exact only where a lower rank can only weaken a result
+(border-rank certificates), never where it would change a decision
+(independence checks).  A nonzero det_mod proves det != 0, but a zero
+residue proves nothing: it may only reject a sample, never certify a
+vanishing determinant or stand in for a stored exact value.
 
 Also provides the two classical determinant identities used throughout:
 
@@ -28,29 +32,43 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
+Entry = Union[int, Fraction]
 
 # Mersenne prime 2^61 - 1.  A nonzero integer minor vanishes mod it only when
 # the prime divides it, so on random flattenings a rank drop is rare, and it
-# can only weaken a bound.
+# can only weaken a bound; likewise a nonzero determinant reads as zero mod it
+# only when the prime divides it, which can only reject a sample.
 RANK_PRIME = 2**61 - 1
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> Entry:
+    """The exact value of an entry: an int when integral, else a Fraction."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+_INT_ONLY = frozenset({int})
 
 
 class ExactMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact rationals (int or Fraction entries)."""
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [tuple(_coerce(x) for x in row) for row in entries]
+        rows = []
+        for row in entries:
+            row = tuple(row)
+            if not _INT_ONLY.issuperset(map(type, row)):  # the common all-int row skips _coerce
+                row = tuple(map(_coerce, row))
+            rows.append(row)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.rows = len(rows)
@@ -59,17 +77,16 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["ExactMatrix"]]) -> "ExactMatrix":
         """Assemble a matrix from a rectangular grid of equally shaped blocks."""
-        out: list[list[Fraction]] = []
+        out: list[list[Entry]] = []
         for block_row in grid:
             height = block_row[0].rows
             for i in range(height):
@@ -84,10 +101,10 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Entry, ...]:
         return self._e[i]
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> Entry:
         i, j = key
         return self._e[i][j]
 
@@ -122,7 +139,7 @@ class ExactMatrix:
                 raise ValueError("incompatible shapes")
             cols = other.transpose()._e
             return ExactMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._e]
+                [[sum(map(mul, row, col)) for col in cols] for row in self._e]
             )
         scalar = _coerce(other)
         return ExactMatrix([[a * scalar for a in r] for r in self._e])
@@ -136,10 +153,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(a == 0 for r in self._e for a in r)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Entry:
         if not self.is_square:
             raise ValueError("trace of non-square matrix")
-        return sum((self._e[i][i] for i in range(self.rows)), Fraction(0))
+        return _coerce(sum(self._e[i][i] for i in range(self.rows)))
 
 
 def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
@@ -149,12 +166,15 @@ def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     return x * y - y * x
 
 
-def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], Fraction]:
+def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; det(m) = det(grid) / scale."""
     grid: list[list[int]] = []
-    scale = Fraction(1)
+    scale = 1
     for row in m:
         d = math.lcm(*(x.denominator for x in row)) if row else 1
+        if d == 1:  # integral entries are stored as int
+            grid.append(list(row))
+            continue
         scale *= d
         grid.append([x.numerator * (d // x.denominator) for x in row])
     return grid, scale
@@ -198,7 +218,7 @@ def det_exact(m: ExactMatrix) -> Fraction:
     if m.rows == 0:
         return Fraction(1)
     grid, scale = _integer_grid(m)
-    return Fraction(_bareiss_det(grid, m.rows)) / scale
+    return Fraction(_bareiss_det(grid, m.rows), scale)
 
 
 def rank_exact(m: ExactMatrix) -> int:
@@ -239,27 +259,33 @@ def rank_exact(m: ExactMatrix) -> int:
     return r
 
 
-def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
-    """Rank over GF(prime) of the row-scaled integer copy of m.
+def _echelon_mod(m: ExactMatrix, prime: int, stop_at_gap: bool) -> tuple[int, int]:
+    """Row echelon of the row-scaled integer copy of m over GF(prime).
 
-    Never exceeds rank_exact(m): a minor that vanishes over the integers also
-    vanishes mod prime, so an unlucky prime can only under-report the rank.
+    Returns (rank, det): det is the signed product of the pivots mod prime,
+    which for square m is det(grid) mod prime, and 0 once a column has no
+    pivot.  With stop_at_gap the elimination ends at that column, which is
+    all a determinant needs.
     """
     nrows, ncols = m.shape
-    if nrows == 0 or ncols == 0:
-        return 0
     grid, _ = _integer_grid(m)
     a = [[x % prime for x in row] for row in grid]
     r = 0
+    det = 1
     for c in range(ncols):
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if a[i][c]), -1)
         if piv < 0:
+            det = 0
+            if stop_at_gap:
+                break
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            det = -det
         row_r = a[r]
+        det = det * row_r[c] % prime
         inv = pow(row_r[c], -1, prime)
         # flattenings are sparse: update only rows with a nonzero in column c,
         # and in them only the columns where the pivot row is nonzero (column
@@ -273,7 +299,33 @@ def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
                 for j, y in tail:
                     row_i[j] = (row_i[j] - f * y) % prime
         r += 1
-    return r
+    return r, det
+
+
+def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
+    """Rank over GF(prime) of the row-scaled integer copy of m.
+
+    Never exceeds rank_exact(m): a minor that vanishes over the integers also
+    vanishes mod prime, so an unlucky prime can only under-report the rank.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return _echelon_mod(m, prime, stop_at_gap=False)[0]
+
+
+def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
+    """det of the row-scaled integer copy of m, reduced into [0, prime).
+
+    Sound in one direction only: a nonzero residue proves det(m) != 0 (the
+    row scale is a nonzero integer), while a zero residue only says that
+    prime divides the scaled determinant.  For an integer matrix the result
+    is det_exact(m) % prime.
+    """
+    if not m.is_square:
+        raise ValueError("determinant of non-square matrix")
+    if m.rows == 0:
+        return 1 % prime
+    return _echelon_mod(m, prime, stop_at_gap=True)[1]
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -281,13 +333,13 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    a = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = [list(m.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c] != 0), -1)
         if piv < 0:
             raise ValueError("matrix is singular")
         a[c], a[piv] = a[piv], a[c]
-        inv_p = 1 / a[c][c]
+        inv_p = Fraction(1) / a[c][c]  # 1 / int would be a float
         a[c] = [x * inv_p for x in a[c]]
         for i in range(n):
             if i != c and a[i][c] != 0:
@@ -328,6 +380,14 @@ def det_rank_update(a: ExactMatrix, u: ExactMatrix, v: ExactMatrix) -> Fraction:
     return det_exact(a) * det_exact(ExactMatrix.identity(m) + v.transpose() * a_inv * u)
 
 
+def child_seed(seed: int, *tags: int) -> int:
+    """Deterministic 63-bit seed derived from a root seed and integer tags."""
+    out = seed & (2**63 - 1)
+    for t in tags:
+        out = (out * 6364136223846793005 + t * 1442695040888963407 + 1) % (2**63)
+    return out
+
+
 def random_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -9, hi: int = 9) -> ExactMatrix:
     return ExactMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
@@ -340,7 +400,7 @@ def random_invertible(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> 
             return m
 
 
-def _format_rational(x: Fraction) -> str:
+def _format_rational(x: Entry) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -202,7 +202,11 @@ def build_flattening(slices: SliceFamily):
     return flattening_pattern(slices.p, block_size=slices.b)
 
 
-def _label_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
+def _label_matrix(
+    label: BlockLabel,
+    slices: SliceFamily,
+    commutators: dict[tuple[int, int], ExactMatrix],
+) -> ExactMatrix:
     n = slices.b
     if label.is_zero:
         return ExactMatrix.zeros(n, n)
@@ -216,16 +220,23 @@ def _label_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
         i, j = label.pair
         if max(i, j) >= len(slices.slices):
             raise ValueError(f"missing slice X_{max(i, j)}")
-        base = commutator(slices.slices[i], slices.slices[j])
+        base = commutators.get(label.pair)
+        if base is None:
+            base = commutators[label.pair] = commutator(slices.slices[i], slices.slices[j])
     return base if label.sign > 0 else -base
 
 
 def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
-    """Expand a symbolic grid into a numeric matrix using the given slices."""
+    """Expand a symbolic grid into a numeric matrix using the given slices.
+
+    Each distinct commutator [X_i, X_j] is computed once per call: a p = 2
+    grid has 16 commutator cells but only 6 distinct pairs.
+    """
     if slices.b != slices.c:
         raise ValueError("non-square slices")
+    commutators: dict[tuple[int, int], ExactMatrix] = {}
     grid = [
-        [_label_matrix(label, slices) for label in row]
+        [_label_matrix(label, slices, commutators) for label in row]
         for row in sym.labels
     ]
     return ExactMatrix.from_blocks(grid)

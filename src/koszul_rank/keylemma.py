@@ -7,7 +7,10 @@ randomized nonzero testing; at the fixpoint, zeroing any remaining variable
 kills the polynomial, so every monomial uses all remaining variables and the
 support size is bounded by the degree.  Sampling ranges scale with
 2^20 * degree so a false "identically zero" verdict is astronomically
-unlikely, and every accepted step is witnessed by an exact nonzero value.
+unlikely.  The pipeline's stage evaluators return determinants mod
+RANK_PRIME = 2^61 - 1 (exact_linalg.det_mod), so an accepted step is
+witnessed by a nonzero residue, which proves the integer value nonzero; a
+zero residue only rejects that sample and the search draws again.
 
 key_lemma_search chains four such searches (pipeline for p in {1, 2}):
 
@@ -33,9 +36,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact_linalg import (
+    RANK_PRIME,
+    Entry,
     ExactMatrix,
+    child_seed,
     commutator,
     det_exact,
+    det_mod,
     invert,
     rank_exact,
 )
@@ -49,25 +56,23 @@ class KeyLemmaStageError(RuntimeError):
 
 @dataclass(frozen=True)
 class PolynomialEvaluator:
-    """A black-box polynomial: arity, a degree bound, and an exact evaluator."""
+    """A black-box polynomial: arity, a degree bound, and an evaluator.
+
+    evaluate returns either the exact value or a residue of it mod a prime
+    (nonzero only if the value is nonzero).  Only nonzero tests may use a
+    residue evaluator; degree_along_line interpolates and needs exact values.
+    """
 
     arity: int
     degree_bound: int
-    evaluate: Callable[[Sequence[int]], Fraction]
+    evaluate: Callable[[Sequence[int]], Entry]
 
 
 @dataclass(frozen=True)
 class SupportWitness:
     support: tuple[int, ...]
     point: tuple[int, ...]
-    value: Fraction
-
-
-def _child_seed(seed: int, *tags: int) -> int:
-    out = seed & (2**63 - 1)
-    for t in tags:
-        out = (out * 6364136223846793005 + t * 1442695040888963407 + 1) % (2**63)
-    return out
+    value: Entry  # whatever poly.evaluate returned: exact or a residue
 
 
 def support_restriction_search(
@@ -79,19 +84,21 @@ def support_restriction_search(
     """Greedy support shrinking with randomized nonzero tests.
 
     Returns a support with an integer point (zero off the support) where the
-    polynomial provably does not vanish.  By default the support is shrunk to
-    a fixpoint, which the degree argument caps at degree_bound; passing
-    stop_at ends the shrinking as soon as the support is that small.  The
-    staged pipeline stops at its per-stage budgets rather than at minimal
-    supports: inclusion-minimal supports tend to be structurally degenerate
-    (for instance, all slices singular), which starves the later stages.
+    polynomial provably does not vanish: poly.evaluate returned a nonzero
+    value there, exact or a residue mod a prime, and either proves it.  By
+    default the support is shrunk to a fixpoint, which the degree argument
+    caps at degree_bound; passing stop_at ends the shrinking as soon as the
+    support is that small.  The staged pipeline stops at its per-stage
+    budgets rather than at minimal supports: inclusion-minimal supports tend
+    to be structurally degenerate (for instance, all slices singular), which
+    starves the later stages.
     Raises KeyLemmaStageError when the polynomial looks identically zero.
     """
-    rng = random.Random(_child_seed(seed, 0xA11CE))
+    rng = random.Random(child_seed(seed, 0xA11CE))
     span = max(2**20 * max(poly.degree_bound, 1), 1024)
     target = poly.degree_bound if stop_at is None else max(stop_at, poly.degree_bound)
 
-    def sample(support: Sequence[int], budget: int) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    def sample(support: Sequence[int], budget: int) -> Optional[tuple[tuple[int, ...], Entry]]:
         for _ in range(budget):
             point = [0] * poly.arity
             for i in support:
@@ -138,11 +145,11 @@ def shrink_witness(
 ) -> SupportWitness:
     """Re-draw the witness point with small entries on the same support.
 
-    Keeps downstream arithmetic small; every candidate is re-verified exactly,
-    with the range doubling on repeated failure, and the original witness is
-    the fallback.
+    Keeps downstream arithmetic small; every candidate is re-verified with
+    poly.evaluate, with the range doubling on repeated failure, and the
+    original witness is the fallback.
     """
-    rng = random.Random(_child_seed(seed, 0x5A11))
+    rng = random.Random(child_seed(seed, 0x5A11))
     span = 99
     for _ in range(24):
         point = [0] * poly.arity
@@ -168,14 +175,14 @@ def elementary_basis(n: int) -> list[ExactMatrix]:
     out = []
     for r in range(n):
         for c in range(n):
-            grid = [[Fraction(0)] * n for _ in range(n)]
-            grid[r][c] = Fraction(1)
+            grid = [[0] * n for _ in range(n)]
+            grid[r][c] = 1
             out.append(ExactMatrix(grid))
     return out
 
 
 def _matrix_from_coords(coords: Sequence, basis: Sequence[ExactMatrix], n: int) -> ExactMatrix:
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for x, b in zip(coords, basis):
         if x:
             for i in range(n):
@@ -200,10 +207,10 @@ def generic_nonvanishing(n: int, p: int, seed: int = 0, trials: int = 5) -> Nonv
     if n < 2 or 2 * p + 1 > n * n:
         raise ValueError("p too large for n")
     for t in range(trials):
-        rng = random.Random(_child_seed(seed, 0x6E0, t))
+        rng = random.Random(child_seed(seed, 0x6E0, t))
         xs = []
         for _ in range(2 * p):
-            grid = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            grid = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             trace = sum(grid[i][i] for i in range(n))
             grid[n - 1][n - 1] -= trace  # integer traceless sampling
             xs.append(ExactMatrix(grid))
@@ -220,10 +227,11 @@ def degree_along_line(poly: PolynomialEvaluator, seed: int = 0) -> int:
 
     Evaluates at degree_bound + 3 points; the last two verify the Newton
     interpolant, so a non-polynomial evaluator (or an understated bound) is
-    detected instead of silently mismeasured.  Equals the total degree of P
-    with high probability over the line choice.
+    detected instead of silently mismeasured.  poly.evaluate must return
+    exact values: residues mod a prime do not interpolate over Q.  Equals the
+    total degree of P with high probability over the line choice.
     """
-    rng = random.Random(_child_seed(seed, 0xDE6))
+    rng = random.Random(child_seed(seed, 0xDE6))
     base = [rng.randint(-9, 9) for _ in range(poly.arity)]
     direction = [rng.randint(-9, 9) for _ in range(poly.arity)]
     if not any(direction):
@@ -352,6 +360,9 @@ def _middle_pairs(p: int) -> list[tuple[int, int]]:
     return pairs
 
 
+_ATTEMPTS = 5
+
+
 def key_lemma_search(
     n: int, p: int, basis: Optional[Sequence[ExactMatrix]] = None, seed: int = 0
 ) -> KeyLemmaWitness:
@@ -359,7 +370,8 @@ def key_lemma_search(
 
     Implemented for p in {1, 2}; each stage fixes the (shrunken) witness point
     of the previous one, exactly in pipeline order.  Retries the whole run a
-    few times on stage failure (fresh derived seeds) before giving up.
+    few times on stage failure (fresh derived seeds) before giving up with a
+    KeyLemmaStageError that names the stage failure of every attempt.
     """
     if p not in (1, 2):
         raise NotImplementedError("pipeline implemented for p in {1, 2}")
@@ -374,13 +386,13 @@ def key_lemma_search(
     if rank_exact(stacked) != n * n:
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
 
-    last_error: Optional[Exception] = None
-    for attempt in range(5):
+    failures = []
+    for attempt in range(_ATTEMPTS):
         try:
             return _run_pipeline(n, p, basis, seed, attempt)
         except KeyLemmaStageError as exc:
-            last_error = exc
-    raise last_error  # type: ignore[misc]
+            failures.append(f"attempt {attempt}: {exc}")
+    raise KeyLemmaStageError(f"all {_ATTEMPTS} attempts failed: " + "; ".join(failures))
 
 
 def _run_pipeline(
@@ -392,10 +404,13 @@ def _run_pipeline(
         return _matrix_from_coords(coords, basis, n)
 
     def stage_seed(stage: int) -> int:
-        return _child_seed(seed, attempt, stage)
+        return child_seed(seed, attempt, stage)
+
+    # every stage evaluator below returns a det_mod residue: nonzero proves
+    # the determinant nonzero, and a zero only rejects the sample
 
     # stage 0: the determinant itself
-    p0 = PolynomialEvaluator(arity, n, lambda x: det_exact(build(x)))
+    p0 = PolynomialEvaluator(arity, n, lambda x: det_mod(build(x)))
     try:
         w0 = shrink_witness(p0, support_restriction_search(p0, stage_seed(0), stop_at=n), stage_seed(0))
     except KeyLemmaStageError as exc:
@@ -412,10 +427,10 @@ def _run_pipeline(
     if p == 1:
         # no middle slices exist; fix v_2 = v_2p here against a seeded
         # auxiliary matrix so the stage budget n * binom(2,2) = n is used
-        rng_aux = random.Random(_child_seed(seed, attempt, 0xA0))
+        rng_aux = random.Random(child_seed(seed, attempt, 0xA0))
         aux = ExactMatrix([[rng_aux.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         p1 = PolynomialEvaluator(
-            arity, n, lambda x: det_exact(commutator(aux, normalized(x)))
+            arity, n, lambda x: det_mod(commutator(aux, normalized(x)))
         )
         try:
             w1 = shrink_witness(p1, support_restriction_search(p1, stage_seed(1), stop_at=n), stage_seed(1))
@@ -427,14 +442,14 @@ def _run_pipeline(
         pairs = _middle_pairs(p)
         slot_of = {m: s for s, m in enumerate(middles)}
 
-        def eval_stage1(x: Sequence) -> Fraction:
+        def eval_stage1(x: Sequence) -> int:
             mats = {
                 m: normalized(x[slot_of[m] * arity : (slot_of[m] + 1) * arity])
                 for m in middles
             }
-            value = Fraction(1)
+            value = 1
             for a, b in pairs:
-                value *= det_exact(commutator(mats[a], mats[b]))
+                value = value * det_mod(commutator(mats[a], mats[b])) % RANK_PRIME
                 if value == 0:
                     break
             return value
@@ -455,7 +470,7 @@ def _run_pipeline(
     # stage 2: v_1 against the fixed v_2
     x2_normalized = adj0 * fixed[2]
     p2 = PolynomialEvaluator(
-        arity, n, lambda x: det_exact(commutator(normalized(x), x2_normalized))
+        arity, n, lambda x: det_mod(commutator(normalized(x), x2_normalized))
     )
     try:
         w2 = shrink_witness(p2, support_restriction_search(p2, stage_seed(2), stop_at=n), stage_seed(2))
@@ -471,10 +486,10 @@ def _run_pipeline(
         others = {i: adj0 * fixed[i] for i in range(1, 2 * p)}
         identity = ExactMatrix.identity(n)
 
-        def eval_stage3(x: Sequence) -> Fraction:
+        def eval_stage3(x: Sequence) -> int:
             xs = [identity] + [others[i] for i in range(1, 2 * p)] + [normalized(x)]
             family = SliceFamily(p, n, n, tuple(xs))
-            return det_exact(assemble(pattern, family))
+            return det_mod(assemble(pattern, family))
 
         cap = n * (math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1))
         p3 = PolynomialEvaluator(arity, cap, eval_stage3)
@@ -540,7 +555,7 @@ def refined_p2_degree(n: int, seed: int = 0) -> int:
     seeded draw; U is the rest of the skew commutator arrangement; the degree
     is measured along a random line in the joint (v3, v4) coordinates.
     """
-    rng = random.Random(_child_seed(seed, 0xF2))
+    rng = random.Random(child_seed(seed, 0xF2))
     while True:
         v1 = ExactMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         v2 = ExactMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
@@ -568,7 +583,7 @@ def refined_p2_degree(n: int, seed: int = 0) -> int:
         return det_exact(big_identity + a_inv * (m - a))
 
     poly = PolynomialEvaluator(2 * arity, 6 * n, evaluate)
-    return degree_along_line(poly, _child_seed(seed, 0xF3))
+    return degree_along_line(poly, child_seed(seed, 0xF3))
 
 
 def reduced_diagonal_degree(n: int, p: int, seed: int = 0) -> tuple[int, int]:
@@ -597,4 +612,4 @@ def reduced_diagonal_degree(n: int, p: int, seed: int = 0) -> tuple[int, int]:
 
     expected = 2 * n * len(pairs)
     poly = PolynomialEvaluator(len(middles) * arity, max(expected, 1), evaluate)
-    return expected, degree_along_line(poly, _child_seed(seed, 0xD3))
+    return expected, degree_along_line(poly, child_seed(seed, 0xD3))

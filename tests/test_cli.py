@@ -1,5 +1,6 @@
 """CLI surface: output values, formats, exit codes, byte determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,22 @@ def test_keylemma_output_validates(capsys):
         grid_det=__import__("fractions").Fraction(payload["grid_det"]),
     )
     validate_witness(witness, elementary_basis(3))
+
+
+# sha256 of the keylemma stdout, frozen before the stage evaluators switched
+# from exact determinants to residues mod 2^61 - 1: the search must keep the
+# same trajectory and print the same witnesses
+KEYLEMMA_GOLDEN = {
+    ("5", "2"): "d8df950702d14bad2a682a76493e0139390bbd07e0257e7ce3cc7171a86ee61e",
+    ("6", "1"): "e647d1547878364493cf8e15e02be647a82dcf905713aa31cc8be7a5f8a9128b",
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(KEYLEMMA_GOLDEN))
+def test_keylemma_golden_output(capsys, n, p):
+    code, out = run(capsys, "keylemma", "--n", n, "--p", p, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KEYLEMMA_GOLDEN[n, p]
 
 
 def test_byte_determinism(capsys):

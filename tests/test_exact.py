@@ -13,6 +13,7 @@ from koszul_rank.exact_linalg import (
     ExactMatrix,
     commutator,
     det_exact,
+    det_mod,
     det_rank_update,
     invert,
     matrix_from_json,
@@ -156,6 +157,88 @@ def test_rank_mod_empty_and_zero():
     for m in (ExactMatrix([]), ExactMatrix([[], []]), ExactMatrix.zeros(3, 4)):
         assert rank_mod(m) == 0
         assert rank_mod(m, 2) == 0
+
+
+# -- determinant modulo a prime -------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw, values=RATIONALS):
+    """Square matrices up to 6x6; about half are singular products."""
+    n, inner = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def grid(r, c):
+        return ExactMatrix(
+            draw(st.lists(st.lists(values, min_size=c, max_size=c), min_size=r, max_size=r))
+        )
+
+    if inner < n:
+        return grid(n, inner) * grid(inner, n)
+    return grid(n, n)
+
+
+@PROPERTY
+@given(square_matrices(INTEGERS))
+def test_det_mod_is_exact_det_reduced_on_integers(m):
+    assert det_mod(m) == det_exact(m) % RANK_PRIME
+
+
+@PROPERTY
+@given(square_matrices(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_det_mod_nonzero_proves_nonzero_det(m, prime):
+    residue = det_mod(m, prime)
+    assert 0 <= residue < prime
+    if residue:
+        assert det_exact(m) != 0
+
+
+@PROPERTY
+@given(square_matrices(INTEGERS), SMALL_PRIMES)
+def test_det_mod_small_primes_match_oracle(m, prime):
+    assert det_mod(m, prime) == gauss_det([list(row) for row in m]) % prime
+
+
+def test_det_mod_one_sided_example():
+    m = ExactMatrix([[3, 0], [0, 1]])
+    assert det_mod(m, 3) == 0  # a zero residue proves nothing
+    assert det_exact(m) == 3 == det_mod(m)
+    assert det_mod(ExactMatrix([[0, 1], [1, 0]])) == RANK_PRIME - 1
+
+
+def test_det_mod_shapes():
+    assert det_mod(ExactMatrix([])) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        det_mod(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+# -- int and Fraction entries ----------------------------------------------------
+
+
+def test_integral_entries_are_ints():
+    m = ExactMatrix([[Fraction(4, 2), 3, True], [Fraction(1, 3), "5/2", 0.5]])
+    assert [type(x) for x in m.row(0)] == [int, int, int]
+    assert m.row(1) == (Fraction(1, 3), Fraction(5, 2), Fraction(1, 2))
+    third = ExactMatrix([[Fraction(1, 3)]])
+    assert type((third * 3)[0, 0]) is int
+    assert type((third + third + third)[0, 0]) is int
+    for built in (ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), m * m.transpose() * 36):
+        assert all(type(x) is int for row in built for x in row)
+
+
+def test_invert_integer_matrix_is_exact():
+    m = ExactMatrix([[2, 0, 1], [0, 4, 0], [1, 0, 3]])
+    inv = invert(m)
+    assert all(isinstance(x, (int, Fraction)) for row in inv for x in row)
+    assert inv[1, 1] == Fraction(1, 4)
+    assert m * inv == ExactMatrix.identity(3)
+
+
+def test_equality_and_hash_ignore_entry_type():
+    as_fractions = ExactMatrix([[Fraction(3), Fraction(0)], [Fraction(-1), Fraction(1, 2)]])
+    as_ints = ExactMatrix([[3, 0], [-1, Fraction(1, 2)]])
+    assert as_fractions == as_ints
+    assert hash(as_fractions) == hash(as_ints)
+    assert len({as_fractions, as_ints}) == 1
 
 
 def test_elimination_fuzz_structured_inputs():

@@ -20,6 +20,7 @@ from koszul_rank.keylemma import (
     support_restriction_search,
     validate_witness,
 )
+from koszul_rank import keylemma
 from koszul_rank.keylemma import _matrix_from_coords
 
 
@@ -159,6 +160,19 @@ def test_key_lemma_rejects_bad_inputs():
         key_lemma_search(4, 3, seed=0)
     with pytest.raises(KeyLemmaStageError, match="stage P0"):
         key_lemma_search(2, 1, basis=[ExactMatrix.identity(2)] * 4, seed=0)
+
+
+def test_key_lemma_failure_names_every_attempt(monkeypatch):
+    # every residue reads zero, so stage P0 rejects every sample of every attempt
+    monkeypatch.setattr(keylemma, "det_mod", lambda m: 0)
+    with pytest.raises(KeyLemmaStageError) as info:
+        key_lemma_search(3, 1, seed=0)
+    message = str(info.value)
+    assert message.startswith("all 5 attempts failed: ")
+    entries = message.split(": ", 1)[1].split("; ")
+    assert len(entries) == 5
+    for attempt, entry in enumerate(entries):
+        assert entry.startswith(f"attempt {attempt}: stage P0: ")
 
 
 def test_validate_witness_catches_tampering():
