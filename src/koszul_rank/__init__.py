@@ -33,7 +33,6 @@ from .flattening import (
     FlatteningLayout,
     SymbolicBlockMatrix,
     assemble,
-    build_flattening,
     check_structure,
     commutator_matrix,
     commutator_pattern,

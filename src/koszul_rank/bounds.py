@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact_linalg import RANK_PRIME, rank_mod
-from .flattening import assemble, build_flattening
+from .flattening import assemble, flattening_pattern
 from .tensor_core import Tensor3, slice_family
 
 SQUARE_ONLY_TAGS = {"strassen", "blaser", "landsberg", "mr_p2_refined", "mr_p3_refined"}
@@ -205,13 +205,13 @@ def certify_border_rank(
     if count > tensor.dim_a:
         raise DegenerateSubspaceError(f"p too large: need 2p+1 <= dimA = {tensor.dim_a}")
     divisor = math.comb(2 * p, p)
+    sym, _ = flattening_pattern(p)
 
     def evaluate(alpha_list) -> Optional[tuple[int, tuple]]:
         try:
             family = slice_family(tensor, alpha_list)
         except ValueError:
             return None
-        sym, _ = build_flattening(family)
         rank = rank_mod(assemble(sym, family))
         return rank, tuple(tuple(Fraction(x) for x in a) for a in alpha_list)
 

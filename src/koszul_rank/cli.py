@@ -3,13 +3,15 @@
 Every command takes --seed (default 0) and echoes it in the output; identical
 invocations produce byte-identical output.  Table formats: md (default), csv,
 json.  Exit codes: 0 success, 1 check failure, 2 input error, 3 degenerate
-computation.
+computation.  Input beyond the size caps below (MAX_SYMBOLIC_P for flatten
+and verify --p) exits 2 before anything is allocated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -23,8 +25,9 @@ from .bounds import (
     certify_border_rank,
     crossover,
 )
-from .exact_linalg import ExactMatrix, matrix_to_json, random_int_matrix, vector_to_json
+from .exact_linalg import ExactMatrix, _format_rational, matrix_to_json, random_int_matrix, vector_to_json
 from .flattening import (
+    MAX_SYMBOLIC_P,
     assemble,
     commutator_matrix,
     commutator_pattern,
@@ -40,10 +43,24 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
+# Size caps; they admit M_5 (dims product 15625) and M_4 at p = 3 (side 560).
+MAX_DIMS_PRODUCT = 100_000  # dimA * dimB * dimC of a certify tensor
+MAX_FLATTENING_SIDE = 1000  # comb(2p+1, p) * dimB: certify, flatten --numeric, verify --n
+
+
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+def _flattening_too_large(p: int, size: int) -> bool:
+    # comb(13, 6) > MAX_FLATTENING_SIDE: no p above MAX_SYMBOLIC_P fits, so skip its comb
+    return p > MAX_SYMBOLIC_P or math.comb(2 * p + 1, p) * size > MAX_FLATTENING_SIDE
+
 
 def _fmt_value(x) -> str:
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return _format_rational(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if x is None:
@@ -96,8 +113,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
+        raise SystemExit(_input_error("--n must be >= 1"))
     rows = []
     skipped = []
     kinds: list[BoundKind] = [BoundKind("strassen"), BoundKind("blaser")]
@@ -129,8 +145,7 @@ def _cmd_crossover(args) -> int:
         kind_a = BoundKind.parse(args.a)
         kind_b = BoundKind.parse(args.b)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
     report = crossover(kind_a, kind_b, args.n_max)
     notes = []
     pair = {str(kind_a), str(kind_b)}
@@ -153,21 +168,21 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    if args.p < 1:
-        print("error: p must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if not 1 <= args.p <= MAX_SYMBOLIC_P:
+        return _input_error(f"--p must be in 1..{MAX_SYMBOLIC_P}")
     if args.numeric:
         n = args.n
         if n < 1:
-            print("error: --numeric needs --n >= 1", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _input_error("--numeric needs --n >= 1")
+        if _flattening_too_large(args.p, n):
+            return _input_error(f"flattening side exceeds {MAX_FLATTENING_SIDE}")
         rng = random.Random(args.seed)
         xs = tuple(random_int_matrix(rng, n, n) for _ in range(2 * args.p))
         family = SliceFamily(args.p, n, n, (ExactMatrix.identity(n), *xs))
         if args.commutators:
             _, numeric = commutator_matrix(family)
         else:
-            sym, _ = flattening_pattern(args.p, block_size=n)
+            sym, _ = flattening_pattern(args.p)
             numeric = assemble(sym, family)
         payload = {"seed": args.seed, "p": args.p, "n": n, "matrix": matrix_to_json(numeric)}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
@@ -181,23 +196,31 @@ def _cmd_flatten(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.p < 1:
+        return _input_error("--p must be >= 1")
     if args.tensor:
         try:
             with open(args.tensor, "r", encoding="utf-8") as handle:
                 tensor = tensor_from_json(json.load(handle))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot read tensor file: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _input_error(f"cannot read tensor file: {exc}")
+        dims = tensor.dims
     elif args.matmul:
         try:
             n, l, m = (int(x) for x in args.matmul.split(","))
-            tensor = matmul_tensor(n, l, m)
         except ValueError as exc:
-            print(f"error: bad --matmul spec: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _input_error(f"bad --matmul spec: {exc}")
+        if min(n, l, m) < 1:
+            return _input_error("bad --matmul spec: zero dimension")
+        tensor, dims = None, (n * l, l * m, n * m)
     else:
-        print("error: need --tensor FILE or --matmul n,l,m", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error("need --tensor FILE or --matmul n,l,m")
+    if math.prod(dims) > MAX_DIMS_PRODUCT:
+        return _input_error(f"tensor dims {list(dims)} exceed {MAX_DIMS_PRODUCT} cells")
+    if _flattening_too_large(args.p, dims[1]):
+        return _input_error(f"p={args.p} flattening side exceeds {MAX_FLATTENING_SIDE}")
+    if tensor is None:
+        tensor = matmul_tensor(n, l, m)
     try:
         certificate = certify_border_rank(tensor, args.p, seed=args.seed, trials=args.trials)
     except DegenerateSubspaceError as exc:
@@ -219,6 +242,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.p <= MAX_SYMBOLIC_P or args.n < 0 or args.trials < 0:
+        return _input_error(f"need 0 <= --p <= {MAX_SYMBOLIC_P}, --n >= 0 and --trials >= 0")
+    suite_p = {"strassen": 1, "p2": 2}.get(args.suite)
+    if suite_p and _flattening_too_large(suite_p, args.n):
+        return _input_error(f"flattening side exceeds {MAX_FLATTENING_SIDE}")
     n_values = (args.n,) if args.n else None
     if args.suite == "strassen":
         checks = suite_strassen(n_values or (2, 3, 4), args.trials or 30, args.seed)

@@ -35,7 +35,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Entry = Union[int, Fraction]
 
 # Mersenne prime 2^61 - 1.  A nonzero integer minor vanishes mod it only when
@@ -180,54 +179,17 @@ def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], int]:
     return grid, scale
 
 
-def _bareiss_det(a: list[list[int]], n: int) -> int:
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv, best = -1, None
-        for i in range(k, n):
-            v = a[i][k]
-            if v != 0:
-                size = abs(v)
-                if best is None or size < best:
-                    best, piv = size, i
-        if piv < 0:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                quotient, remainder = divmod(row_i[j] * pk - aik * row_k[j], prev)
-                if remainder:  # the fraction-free update divides exactly; anything else is a bug
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                row_i[j] = quotient
-            row_i[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1] if n > 0 else sign
+def _bareiss(a: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon of an integer grid, in place.
 
-
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    if not m.is_square:
-        raise ValueError("determinant of non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    grid, scale = _integer_grid(m)
-    return Fraction(_bareiss_det(grid, m.rows), scale)
-
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank over the rationals (fraction-free row echelon)."""
-    nrows, ncols = m.shape
-    if nrows == 0 or ncols == 0:
-        return 0
-    a, _ = _integer_grid(m)
+    Returns (rank, det): det is the last pivot signed by the row swaps,
+    which for a square grid is det(grid), and 0 once a column has no pivot.
+    With stop_at_gap the elimination ends at that column, which is all a
+    determinant needs.  Pivots are the entries of least absolute value.
+    """
+    nrows = len(a)
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         if r == nrows:
@@ -240,9 +202,13 @@ def rank_exact(m: ExactMatrix) -> int:
                 if best is None or size < best:
                     best, piv = size, i
         if piv < 0:
+            sign = 0
+            if stop_at_gap:
+                break
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         prc = a[r][c]
         row_r = a[r]
         for i in range(r + 1, nrows):
@@ -250,13 +216,30 @@ def rank_exact(m: ExactMatrix) -> int:
             aic = row_i[c]
             for j in range(c + 1, ncols):
                 quotient, remainder = divmod(row_i[j] * prc - aic * row_r[j], prev)
-                if remainder:
+                if remainder:  # the fraction-free update divides exactly; anything else is a bug
                     raise ArithmeticError("inexact division in fraction-free elimination")
                 row_i[j] = quotient
             row_i[c] = 0
         prev = prc
         r += 1
-    return r
+    return r, sign * prev
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Exact determinant via fraction-free elimination."""
+    if not m.is_square:
+        raise ValueError("determinant of non-square matrix")
+    if m.rows == 0:
+        return Fraction(1)
+    grid, scale = _integer_grid(m)
+    return Fraction(_bareiss(grid, m.cols, stop_at_gap=True)[1], scale)
+
+
+def rank_exact(m: ExactMatrix) -> int:
+    """Exact rank over the rationals (fraction-free row echelon)."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return _bareiss(_integer_grid(m)[0], m.cols, stop_at_gap=False)[0]
 
 
 def _echelon_mod(m: ExactMatrix, prime: int, stop_at_gap: bool) -> tuple[int, int]:

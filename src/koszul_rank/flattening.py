@@ -18,8 +18,11 @@ identity, eliminating with the D rows turns the determinant into that of the
 Schur complement -(Q R), a square grid in which every nonzero cell is a single
 signed commutator [X_i, X_j]; commutator_matrix builds exactly that grid.
 
+Blocks carry three label kinds: zero, +-X_k and +-[X_i, X_j].  Both grids
+are built from their nonzero blocks only.
+
 The printed reference patterns for p = 1, 2, 3 are hardcoded below as token
-grids and used as fixtures by the tests.
+grids; verify --suite p3 and the tests compare the constructed grids to them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ from typing import Optional
 
 from .exact_linalg import ExactMatrix, commutator, invert
 from .tensor_core import SliceFamily
-from .wedge import WedgeIndex, differ_by_one, insert_sign, wedge_basis
+from .wedge import WedgeIndex, insert_sign, wedge_basis
+
+# Desk-scale limit of the symbolic grids: the p = 5 commutator grid is
+# 210 x 210 cells; the CLI rejects larger p.
+MAX_SYMBOLIC_P = 5
 
 
 class LayoutError(ValueError):
@@ -43,7 +50,7 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class BlockLabel:
-    """One block of a symbolic matrix: zero, +-identity, +-X_k, or +-[X_i, X_j]."""
+    """One block of a symbolic matrix: zero, +-X_k, or +-[X_i, X_j]."""
 
     kind: str
     sign: int = 1
@@ -51,17 +58,12 @@ class BlockLabel:
     pair: Optional[tuple[int, int]] = None
 
     ZERO_KIND = "zero"
-    IDENTITY_KIND = "identity"
     SLICE_KIND = "slice"
     COMMUTATOR_KIND = "commutator"
 
     @classmethod
     def zero(cls) -> "BlockLabel":
         return cls(cls.ZERO_KIND, 1)
-
-    @classmethod
-    def ident(cls, sign: int = 1) -> "BlockLabel":
-        return cls(cls.IDENTITY_KIND, sign)
 
     @classmethod
     def of_slice(cls, k: int, sign: int = 1) -> "BlockLabel":
@@ -95,9 +97,7 @@ class BlockLabel:
     def token(self, signed: bool = True) -> str:
         if self.is_zero:
             return "."
-        if self.kind == self.IDENTITY_KIND:
-            body = "I"
-        elif self.kind == self.SLICE_KIND:
+        if self.kind == self.SLICE_KIND:
             body = f"X{self.index}"
         else:
             i, j = self.pair
@@ -114,7 +114,6 @@ class SymbolicBlockMatrix:
     block_rows: int
     block_cols: int
     labels: tuple[tuple[BlockLabel, ...], ...]
-    block_size: Optional[int] = None
 
     def __post_init__(self):
         if len(self.labels) != self.block_rows or any(
@@ -127,7 +126,7 @@ class SymbolicBlockMatrix:
 
     def sub(self, rows: range, cols: range) -> "SymbolicBlockMatrix":
         grid = tuple(tuple(self.labels[i][j] for j in cols) for i in rows)
-        return SymbolicBlockMatrix(len(rows), len(cols), grid, self.block_size)
+        return SymbolicBlockMatrix(len(rows), len(cols), grid)
 
     def same_pattern(self, other: "SymbolicBlockMatrix", signed: bool = True) -> bool:
         if (self.block_rows, self.block_cols) != (other.block_rows, other.block_cols):
@@ -172,34 +171,27 @@ def flattening_layout(p: int) -> FlatteningLayout:
 
 
 def _flattening_labels(layout: FlatteningLayout) -> tuple[tuple[BlockLabel, ...], ...]:
+    """Row J holds +-X_k at column J u {k} for each k not in J, zero elsewhere."""
+    column_of = {subset: j for j, subset in enumerate(layout.col_subsets)}
+    zero = BlockLabel.zero()
     grid = []
     for row_subset in layout.row_subsets:
-        row = []
-        for col_subset in layout.col_subsets:
-            k = differ_by_one(col_subset, row_subset)
-            if k is None:
-                row.append(BlockLabel.zero())
-            else:
-                wedge = insert_sign(k, row_subset)
-                sign = wedge[0] * (-1) ** k
-                row.append(BlockLabel.of_slice(k, sign))
+        row = [zero] * len(layout.col_subsets)
+        for k in range(2 * layout.p + 1):
+            wedge = insert_sign(k, row_subset)
+            if wedge is not None:
+                sign, merged = wedge
+                row[column_of[merged]] = BlockLabel.of_slice(k, sign * (-1) ** k)
         grid.append(tuple(row))
     return tuple(grid)
 
 
-def flattening_pattern(p: int, block_size: Optional[int] = None):
+def flattening_pattern(p: int):
     """Symbolic flattening grid and its layout for generic slice labels."""
     layout = flattening_layout(p)
     labels = _flattening_labels(layout)
     size = len(layout.row_subsets)
-    return SymbolicBlockMatrix(size, size, labels, block_size), layout
-
-
-def build_flattening(slices: SliceFamily):
-    """Symbolic flattening of a slice family (requires square slices)."""
-    if slices.b != slices.c:
-        raise ValueError("non-square slices")
-    return flattening_pattern(slices.p, block_size=slices.b)
+    return SymbolicBlockMatrix(size, size, labels), layout
 
 
 def _label_matrix(
@@ -210,9 +202,7 @@ def _label_matrix(
     n = slices.b
     if label.is_zero:
         return ExactMatrix.zeros(n, n)
-    if label.kind == BlockLabel.IDENTITY_KIND:
-        base = ExactMatrix.identity(n)
-    elif label.kind == BlockLabel.SLICE_KIND:
+    if label.kind == BlockLabel.SLICE_KIND:
         if label.index >= len(slices.slices):
             raise ValueError(f"missing slice X_{label.index}")
         base = slices.slices[label.index]
@@ -301,22 +291,25 @@ def commutator_pattern(p: int) -> SymbolicBlockMatrix:
     q, qbar = parts.q, parts.qbar
     # Column t of Q (subset {0} u J') aligns with row t of R (subset J'):
     # lex order is preserved by J' -> {0} u J', so plain index alignment works.
+    r_nonzero = [
+        [(c, label) for c, label in enumerate(row) if not label.is_zero] for row in qbar.labels
+    ]
+    zero = BlockLabel.zero()
     grid = []
-    for r in range(q.block_rows):
-        row = []
-        for c in range(qbar.block_cols):
-            terms: dict[tuple[int, int], int] = {}
-            for t in range(q.block_cols):
-                left = q.label(r, t)
-                right = qbar.label(t, c)
-                if left.is_zero or right.is_zero:
-                    continue
+    for r, q_row in enumerate(q.labels):
+        cells: dict[int, dict[tuple[int, int], int]] = {}
+        for t, left in enumerate(q_row):
+            if left.is_zero:
+                continue
+            for c, right in r_nonzero[t]:
+                terms = cells.setdefault(c, {})
                 word = (left.index, right.index)
                 coef = -left.sign * right.sign  # global Schur-complement negation
                 terms[word] = terms.get(word, 0) + coef
-            terms = {w: c0 for w, c0 in terms.items() if c0}
+        row = [zero] * qbar.block_cols
+        for c in sorted(cells):
+            terms = {w: c0 for w, c0 in cells[c].items() if c0}
             if not terms:
-                row.append(BlockLabel.zero())
                 continue
             if len(terms) != 2:
                 raise StructureError(f"structure violation at cell ({r},{c}): {terms}")
@@ -324,7 +317,7 @@ def commutator_pattern(p: int) -> SymbolicBlockMatrix:
             if w1 != (w2[1], w2[0]) or c1 != -c2 or abs(c1) != 1:
                 raise StructureError(f"structure violation at cell ({r},{c}): {terms}")
             k, l = w1
-            row.append(BlockLabel.of_commutator(k, l, c1))
+            row[c] = BlockLabel.of_commutator(k, l, c1)
         grid.append(tuple(row))
     return SymbolicBlockMatrix(q.block_rows, qbar.block_cols, tuple(grid))
 
@@ -386,8 +379,8 @@ def check_structure(p: int) -> StructureReport:
     (d) for p = 2 every index 1..4 occurs on the diagonal;
     plus the single-commutator-per-cell claim enforced by commutator_pattern.
     """
-    if not 1 <= p <= 5:
-        raise ValueError("structure checks run at desk scale 1 <= p <= 5")
+    if not 1 <= p <= MAX_SYMBOLIC_P:
+        raise ValueError(f"structure checks run at desk scale 1 <= p <= {MAX_SYMBOLIC_P}")
     checks = []
     try:
         grid = commutator_pattern(p)
@@ -446,7 +439,7 @@ def check_structure(p: int) -> StructureReport:
 
 
 def dump_symbolic(sym: SymbolicBlockMatrix, signed: bool = True) -> str:
-    """Text grid with one token per block: '.', 'I', '+X3', '-X12', ..."""
+    """Text grid with one token per block: '.', '+X3', '-X12', ..."""
     widths = [0] * sym.block_cols
     token_grid = [[label.token(signed) for label in row] for row in sym.labels]
     for row in token_grid:
@@ -466,8 +459,6 @@ def _parse_token(tok: str) -> BlockLabel:
     if tok[0] in "+-":
         sign = 1 if tok[0] == "+" else -1
         tok = tok[1:]
-    if tok == "I":
-        return BlockLabel.ident(sign)
     if not tok.startswith("X"):
         raise ValueError(f"bad token {tok!r}")
     body = tok[1:]

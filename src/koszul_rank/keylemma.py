@@ -46,7 +46,7 @@ from .exact_linalg import (
     invert,
     rank_exact,
 )
-from .flattening import assemble, commutator_matrix, commutator_pattern
+from .flattening import assemble, commutator_matrix, commutator_pattern, normalize_pivot
 from .tensor_core import SliceFamily
 
 
@@ -292,15 +292,16 @@ def _support_of(matrix: ExactMatrix, basis_index: dict) -> set[int]:
     return out
 
 
+def _stage_budgets(n: int, p: int) -> tuple[int, int, int, int]:
+    """Support budgets of stages 0..3 (see the module docstring)."""
+    middle = math.comb(2 * p, p + 1)
+    return n, n * middle, n, n * (middle - math.comb(2 * p - 2, p - 1))
+
+
 def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
     """Re-check every claim of a witness from scratch; raises ValueError."""
     n, p = witness.n, witness.p
-    budgets = (
-        n,
-        n * math.comb(2 * p, p + 1),
-        n,
-        n * (math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1)),
-    )
+    budgets = _stage_budgets(n, p)
     supports = (witness.support0, witness.support1, witness.support2, witness.support3)
     for idx, (sup, cap) in enumerate(zip(supports, budgets)):
         if len(sup) > cap:
@@ -321,10 +322,7 @@ def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> 
     det0 = det_exact(alpha0)
     if det0 == 0:
         raise ValueError("alpha^0 is singular")
-    inv0 = invert(alpha0)
-    slices = (ExactMatrix.identity(n),) + tuple(inv0 * a for a in witness.alphas[1:])
-    family = SliceFamily(p, n, n, slices)
-    _, numeric = commutator_matrix(family)
+    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, witness.alphas)))
     value = det_exact(numeric)
     if value == 0:
         raise ValueError("commutator grid determinant vanishes")
@@ -399,22 +397,25 @@ def _run_pipeline(
     n: int, p: int, basis: Sequence[ExactMatrix], seed: int, attempt: int
 ) -> KeyLemmaWitness:
     arity = n * n
+    budgets = _stage_budgets(n, p)
 
     def build(coords: Sequence) -> ExactMatrix:
         return _matrix_from_coords(coords, basis, n)
 
-    def stage_seed(stage: int) -> int:
-        return child_seed(seed, attempt, stage)
+    def run_stage(stage: int, poly: PolynomialEvaluator) -> SupportWitness:
+        """Search, stopping at the stage budget, then shrink the witness point."""
+        stage_seed = child_seed(seed, attempt, stage)
+        try:
+            found = support_restriction_search(poly, stage_seed, stop_at=budgets[stage])
+            return shrink_witness(poly, found, stage_seed)
+        except KeyLemmaStageError as exc:
+            raise KeyLemmaStageError(f"stage P{stage}: {exc}") from None
 
     # every stage evaluator below returns a det_mod residue: nonzero proves
     # the determinant nonzero, and a zero only rejects the sample
 
     # stage 0: the determinant itself
-    p0 = PolynomialEvaluator(arity, n, lambda x: det_mod(build(x)))
-    try:
-        w0 = shrink_witness(p0, support_restriction_search(p0, stage_seed(0), stop_at=n), stage_seed(0))
-    except KeyLemmaStageError as exc:
-        raise KeyLemmaStageError(f"stage P0: {exc}") from None
+    w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod(build(x))))
     alpha0 = build(w0.point)
     adj0 = invert(alpha0) * det_exact(alpha0)  # integral for integral alpha0
 
@@ -429,13 +430,9 @@ def _run_pipeline(
         # auxiliary matrix so the stage budget n * binom(2,2) = n is used
         rng_aux = random.Random(child_seed(seed, attempt, 0xA0))
         aux = ExactMatrix([[rng_aux.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        p1 = PolynomialEvaluator(
-            arity, n, lambda x: det_mod(commutator(aux, normalized(x)))
+        w1 = run_stage(
+            1, PolynomialEvaluator(arity, n, lambda x: det_mod(commutator(aux, normalized(x))))
         )
-        try:
-            w1 = shrink_witness(p1, support_restriction_search(p1, stage_seed(1), stop_at=n), stage_seed(1))
-        except KeyLemmaStageError as exc:
-            raise KeyLemmaStageError(f"stage P1: {exc}") from None
         support1 = w1.support
         fixed[2] = build(w1.point)
     else:
@@ -454,12 +451,7 @@ def _run_pipeline(
                     break
             return value
 
-        p1 = PolynomialEvaluator(len(middles) * arity, 2 * n * len(pairs), eval_stage1)
-        budget1 = n * math.comb(2 * p, p + 1)
-        try:
-            w1 = shrink_witness(p1, support_restriction_search(p1, stage_seed(1), stop_at=budget1), stage_seed(1))
-        except KeyLemmaStageError as exc:
-            raise KeyLemmaStageError(f"stage P1: {exc}") from None
+        w1 = run_stage(1, PolynomialEvaluator(len(middles) * arity, 2 * n * len(pairs), eval_stage1))
         used = set()
         for var in w1.support:
             used.add(var % arity)
@@ -469,13 +461,9 @@ def _run_pipeline(
 
     # stage 2: v_1 against the fixed v_2
     x2_normalized = adj0 * fixed[2]
-    p2 = PolynomialEvaluator(
-        arity, n, lambda x: det_mod(commutator(normalized(x), x2_normalized))
+    w2 = run_stage(
+        2, PolynomialEvaluator(arity, n, lambda x: det_mod(commutator(normalized(x), x2_normalized)))
     )
-    try:
-        w2 = shrink_witness(p2, support_restriction_search(p2, stage_seed(2), stop_at=n), stage_seed(2))
-    except KeyLemmaStageError as exc:
-        raise KeyLemmaStageError(f"stage P2: {exc}") from None
     fixed[1] = build(w2.point)
 
     # stage 3: the last slice v_2p through the full commutator grid
@@ -491,12 +479,7 @@ def _run_pipeline(
             family = SliceFamily(p, n, n, tuple(xs))
             return det_mod(assemble(pattern, family))
 
-        cap = n * (math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1))
-        p3 = PolynomialEvaluator(arity, cap, eval_stage3)
-        try:
-            w3 = shrink_witness(p3, support_restriction_search(p3, stage_seed(3), stop_at=cap), stage_seed(3))
-        except KeyLemmaStageError as exc:
-            raise KeyLemmaStageError(f"stage P3: {exc}") from None
+        w3 = run_stage(3, PolynomialEvaluator(arity, budgets[3], eval_stage3))
         support3 = w3.support
         fixed[2 * p] = build(w3.point)
 
@@ -504,11 +487,7 @@ def _run_pipeline(
     stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in alphas])
     if rank_exact(stacked) != 2 * p + 1:
         raise KeyLemmaStageError("final: alphas are linearly dependent")
-    inv0 = invert(alpha0)
-    family = SliceFamily(
-        p, n, n, (ExactMatrix.identity(n),) + tuple(inv0 * a for a in alphas[1:])
-    )
-    _, numeric = commutator_matrix(family)
+    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas)))
     grid_det = det_exact(numeric)
     if grid_det == 0:
         raise KeyLemmaStageError("final: commutator grid determinant vanishes")

@@ -17,15 +17,19 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .exact_linalg import ExactMatrix, rank_exact, vector_from_json, vector_to_json
-
-
-def _coerce(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+from .exact_linalg import (
+    Entry,
+    ExactMatrix,
+    _coerce,
+    _format_rational,
+    rank_exact,
+    vector_from_json,
+    vector_to_json,
+)
 
 
 class Tensor3:
-    """Sparse order-3 tensor; no stored zeros, no duplicate coordinates."""
+    """Sparse order-3 tensor of int or Fraction entries; no zeros or duplicates stored."""
 
     __slots__ = ("dims", "entries")
 
@@ -34,7 +38,7 @@ class Tensor3:
         if a < 1 or b < 1 or c < 1:
             raise ValueError("zero dimension")
         self.dims = (a, b, c)
-        clean: dict[tuple[int, int, int], Fraction] = {}
+        clean: dict[tuple[int, int, int], Entry] = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for key, value in items:
             i, j, k = key
@@ -77,9 +81,9 @@ class Tensor3:
 class RankOneTerm:
     """One summand a (x) b (x) c of a decomposition."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    a: tuple[Entry, ...]
+    b: tuple[Entry, ...]
+    c: tuple[Entry, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(_coerce(x) for x in self.a))
@@ -115,12 +119,11 @@ def matmul_tensor(n: int, l: int, m: int) -> Tensor3:
     """
     if n < 1 or l < 1 or m < 1:
         raise ValueError("zero dimension")
-    one = Fraction(1)
     entries = {}
     for i in range(n):
         for j in range(l):
             for k in range(m):
-                entries[(i * l + j, j * m + k, i * m + k)] = one
+                entries[(i * l + j, j * m + k, i * m + k)] = 1
     return Tensor3((n * l, l * m, n * m), entries)
 
 
@@ -129,7 +132,7 @@ def contract_a(tensor: Tensor3, alpha: Sequence) -> ExactMatrix:
     coords = [_coerce(x) for x in alpha]
     if len(coords) != tensor.dim_a:
         raise ValueError("length mismatch")
-    grid = [[Fraction(0)] * tensor.dim_c for _ in range(tensor.dim_b)]
+    grid = [[0] * tensor.dim_c for _ in range(tensor.dim_b)]
     for (i, j, k), value in tensor.entries.items():
         if coords[i]:
             grid[j][k] += coords[i] * value
@@ -169,7 +172,7 @@ def verify_decomposition(tensor: Tensor3, terms: Sequence[RankOneTerm]) -> bool:
                     if not ck:
                         continue
                     key = (i, j, k)
-                    value = residual.get(key, Fraction(0)) - ab * ck
+                    value = residual.get(key, 0) - ab * ck
                     if value:
                         residual[key] = value
                     elif key in residual:
@@ -180,7 +183,7 @@ def verify_decomposition(tensor: Tensor3, terms: Sequence[RankOneTerm]) -> bool:
 def unfold_a(tensor: Tensor3) -> ExactMatrix:
     """dimA x (dimB*dimC) unfolding; row i holds the slice T[i, :, :]."""
     cols = tensor.dim_b * tensor.dim_c
-    grid = [[Fraction(0)] * cols for _ in range(tensor.dim_a)]
+    grid = [[0] * cols for _ in range(tensor.dim_a)]
     for (i, j, k), value in tensor.entries.items():
         grid[i][j * tensor.dim_c + k] = value
     return ExactMatrix(grid)
@@ -202,7 +205,7 @@ def lift_endomorphism(alpha: ExactMatrix, m: int) -> ExactMatrix:
         raise ValueError("m must be >= 1")
     n = alpha.rows
     size = n * m
-    grid = [[Fraction(0)] * size for _ in range(size)]
+    grid = [[0] * size for _ in range(size)]
     for s in range(m):
         base = s * n
         for i in range(n):
@@ -215,8 +218,6 @@ def lift_endomorphism(alpha: ExactMatrix, m: int) -> ExactMatrix:
 
 def tensor_to_json(tensor: Tensor3) -> dict:
     """Tensor file format: {"dims": [a,b,c], "entries": [[i,j,k,"p/q"], ...]}."""
-    from .exact_linalg import _format_rational
-
     entries = [
         [i, j, k, _format_rational(v)]
         for (i, j, k), v in sorted(tensor.entries.items())

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from koszul_rank.cli import main
+from koszul_rank.cli import MAX_DIMS_PRODUCT, _flattening_too_large, main
 from koszul_rank.keylemma import KeyLemmaWitness, elementary_basis, validate_witness
 from koszul_rank.exact_linalg import matrix_from_json
 from koszul_rank.tensor_core import matmul_tensor, tensor_to_json
@@ -179,6 +179,72 @@ def test_keylemma_golden_output(capsys, n, p):
     code, out = run(capsys, "keylemma", "--n", n, "--p", p, "--seed", "0")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == KEYLEMMA_GOLDEN[n, p]
+
+
+# sha256 of the printed symbolic grids, frozen before the flattening and
+# commutator grids were built from their nonzero blocks only
+FLATTEN_GOLDEN = {
+    ("1", False): "783be74c96f84be1fe0014532b3fcea89d87fb2ec775d9a1b1c59ba879bce427",
+    ("1", True): "b40843cbe0d8190c686ad18fe1c9341c4b6872922a65d4a9a3e547e68b85d3b5",
+    ("2", False): "7d6296ce2cd1112fa234b90600ea936570e34a74ccf582d1143b5220f9fe694d",
+    ("2", True): "369b81df41ea5ef3b75f05fff38ffc9986e12e467cf99b0e2a57e6a8aeb926e4",
+    ("3", False): "85e2dc1a36d7053c17dd64f1c079fa9b7c78e6e400a2d8b7a9e5337611680505",
+    ("3", True): "2d70086cbd2af223feb25cfd045a63e6a778f3c4f2298823775e7fb99614c0da",
+    ("4", False): "8b4de017b0ea77fc03157473bcce071b2f702144136d5c758cbda2a6286cf916",
+    ("4", True): "febf3de6011260a450311378b632b3f08b219a52849449b0aadde9cf018d4e6f",
+    ("5", False): "bfff68316398fc83d07935d978a4b964f753fa7aff5aea8900edc67ffd8cbc57",
+    ("5", True): "c222b6255fbda33c1f68f29065d537618d5787213323a910cf755b9269d1e34c",
+}
+
+
+@pytest.mark.parametrize("p, commutators", sorted(FLATTEN_GOLDEN))
+def test_flatten_golden_output(capsys, p, commutators):
+    argv = ["flatten", "--p", p] + (["--commutators"] if commutators else [])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLATTEN_GOLDEN[p, commutators]
+
+
+# every argv here is rejected before anything is allocated
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flatten", "--p", "40"),
+        ("flatten", "--p", "6", "--commutators"),
+        ("flatten", "--p", "1", "--numeric", "--n", "100000"),
+        ("certify", "--matmul", "2000,2000,2000", "--p", "1"),
+        ("certify", "--matmul", "4,4,4", "--p", "4"),
+        ("certify", "--matmul", "2,2,2", "--p", "0"),
+        ("certify", "--matmul", "2,0,2", "--p", "1"),
+        ("verify", "--suite", "remark-imp", "--p", "6"),
+        ("verify", "--suite", "strassen", "--n", "-1"),
+        ("verify", "--suite", "p2", "--n", "1000"),
+        ("verify", "--suite", "detlemmas", "--trials", "-1"),
+    ],
+)
+def test_bad_or_oversized_input_exits_2(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims, p", [([3, 100000, 100000], "1"), ([5, 101, 101], "2")])
+def test_certify_rejects_oversized_tensor_file(tmp_path, capsys, dims, p):
+    # the first exceeds the dims product cap, the second only the flattening side
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": dims, "entries": []}))
+    assert main(["certify", "--tensor", str(path), "--p", p]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_size_caps_admit_desk_scale_inputs():
+    assert 25**3 <= MAX_DIMS_PRODUCT  # M_5
+    assert not _flattening_too_large(3, 9)  # M_3 at p = 3: side 315
+    assert not _flattening_too_large(3, 16)  # M_4 at p = 3: side 560
+    assert not _flattening_too_large(2, 16)  # the 160 x 160 generated tensor flattening
+    assert _flattening_too_large(6, 1)
 
 
 def test_byte_determinism(capsys):

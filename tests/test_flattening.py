@@ -18,9 +18,9 @@ from koszul_rank.exact_linalg import (
 from koszul_rank.flattening import (
     BlockLabel,
     LayoutError,
+    StructureError,
     SymbolicBlockMatrix,
     assemble,
-    build_flattening,
     check_structure,
     commutator_matrix,
     commutator_pattern,
@@ -57,16 +57,6 @@ def test_pattern_matches_reference_p1_p2():
         assert sym.same_pattern(reference_pattern(p)), f"p={p}"
 
 
-def test_pattern_matches_fixture_files():
-    sym1, _ = flattening_pattern(1)
-    assert pattern_tokens(sym1) == fixture_tokens("pattern_p1.txt")
-    sym2, _ = flattening_pattern(2)
-    assert pattern_tokens(sym2) == fixture_tokens("pattern_p2.txt")
-    assert pattern_tokens(commutator_pattern(3), signed=False) == fixture_tokens(
-        "commutators_p3.txt"
-    )
-
-
 def test_commutator_pattern_p2_signs_match_fixture():
     assert pattern_tokens(commutator_pattern(2)) == fixture_tokens("commutators_p2.txt")
 
@@ -94,10 +84,18 @@ def test_flattening_is_square_of_expected_size():
         assert len(layout.row_subsets) == len(layout.col_subsets)
 
 
-def test_build_flattening_requires_square_slices():
+def test_flattening_rows_share_one_zero_label():
+    for p in (1, 2, 3):
+        sym, _ = flattening_pattern(p)
+        for row in sym.labels:
+            assert len({id(label) for label in row if label.is_zero}) == 1, f"p={p}"
+
+
+def test_assemble_rejects_non_square_slices():
     bad = SliceFamily(1, 2, 3, tuple(ExactMatrix.zeros(2, 3) for _ in range(3)))
+    sym, _ = flattening_pattern(bad.p)
     with pytest.raises(ValueError, match="non-square"):
-        build_flattening(bad)
+        assemble(sym, bad)
 
 
 def test_assemble_examples():
@@ -115,7 +113,7 @@ def test_assemble_examples():
 def test_assemble_p1_det_equals_commutator_det():
     rng = random.Random(21)
     fam = family(1, 2, rng)
-    sym, _ = build_flattening(fam)
+    sym, _ = flattening_pattern(fam.p)
     assert det_exact(assemble(sym, fam)) == det_exact(commutator(fam.slices[1], fam.slices[2]))
 
 
@@ -170,7 +168,7 @@ def test_det_factorization_p1_p2():
     for p in (1, 2):
         for n in (2, 3):
             fam = family(p, n, rng)
-            sym, _ = build_flattening(fam)
+            sym, _ = flattening_pattern(fam.p)
             big = det_exact(assemble(sym, fam))
             _, grid = commutator_matrix(fam)
             assert big == det_exact(grid), f"p={p} n={n}"
@@ -180,12 +178,28 @@ def test_flattening_rank_invariant_under_conjugation():
     rng = random.Random(24)
     n, p = 2, 1
     fam = family(p, n, rng, identity_pivot=False)
-    sym, _ = build_flattening(fam)
+    sym, _ = flattening_pattern(fam.p)
     base_rank = rank_exact(assemble(sym, fam))
     g = random_invertible(rng, n)
     g_inv = invert(g)
     conjugated = SliceFamily(p, n, n, tuple(g * x * g_inv for x in fam.slices))
     assert rank_exact(assemble(sym, conjugated)) == base_rank
+
+
+def test_commutator_pattern_rejects_unbalanced_cell(monkeypatch):
+    # flip the sign of one R block: the cells it feeds get two terms of the
+    # same sign, which is no commutator
+    import koszul_rank.flattening as flattening
+
+    sym, layout = flattening_pattern(2)
+    grid = [list(row) for row in sym.labels]
+    row = grid[layout.row_split]
+    c = next(j for j in range(layout.col_split, sym.block_cols) if not row[j].is_zero)
+    row[c] = -row[c]
+    bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(map(tuple, grid)))
+    monkeypatch.setattr(flattening, "flattening_pattern", lambda p: (bad, layout))
+    with pytest.raises(StructureError, match=r"structure violation at cell \(\d+,\d+\)"):
+        commutator_pattern(2)
 
 
 def test_commutator_pattern_single_cells_up_to_p5():
@@ -255,7 +269,7 @@ def test_flattening_rank_matches_oracle_on_random_tensors():
             fam = slice_family(tensor, alphas)
         except ValueError:
             continue  # dependent draw; skip
-        sym, _ = build_flattening(fam)
+        sym, _ = flattening_pattern(fam.p)
         lib_rank = rank_exact(assemble(sym, fam))
         oracle_rank = gauss_rank(koszul_matrix(tensor, [[*map(int, a)] for a in alphas]))
         assert lib_rank == oracle_rank, f"trial {trial}"
@@ -267,7 +281,7 @@ def test_commutator_grid_is_negated_block_product():
     rng = random.Random(28)
     for p, n in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         fam = family(p, n, rng)
-        sym, layout = build_flattening(fam)
+        sym, layout = flattening_pattern(fam.p)
         parts = partition_blocks(sym, layout)
         q_num = assemble(parts.q, fam)
         qbar_num = assemble(parts.qbar, fam)
@@ -283,7 +297,7 @@ def test_p1_rank_splits_as_2b_plus_commutator_rank():
     for trial in range(12):
         n = rng.randint(2, 4)
         fam = family(1, n, rng, identity_pivot=False)
-        sym, _ = build_flattening(fam)
+        sym, _ = flattening_pattern(fam.p)
         total = rank_exact(assemble(sym, fam))
         x0_inv = invert(fam.slices[0])
         comm_rank = rank_exact(commutator(x0_inv * fam.slices[1], x0_inv * fam.slices[2]))
@@ -295,7 +309,7 @@ def test_strassen_identity_thirty_trials():
     for n in (2, 3):
         for trial in range(30):
             fam = family(1, n, rng)
-            sym, _ = build_flattening(fam)
+            sym, _ = flattening_pattern(fam.p)
             lhs = abs(det_exact(assemble(sym, fam)))
             rhs = abs(det_exact(commutator(fam.slices[1], fam.slices[2])))
             assert lhs == rhs, f"n={n} trial={trial}"
