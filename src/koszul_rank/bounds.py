@@ -23,6 +23,29 @@ matrix (exact_linalg.rank_mod).  That rank never exceeds the rank over Q, so
 the certified bound stays valid: an unlucky prime can only weaken a
 certificate, never inflate it.  Exact rational ranks remain wherever a lower
 rank would be unsound, such as the covector independence check.
+
+Before any trial the tensor is split as T = T' (x) Id_m in its B and C
+factors (tensor_core.identity_factor; m = 1 when nothing splits), and every
+trial assembles the flattening F' of the reduced tensor T' instead of F.  For
+M_{n,n,m} this is the flattening of the n x n slices alpha^T, m times
+smaller on each side.  The rank is unchanged, not estimated:
+
+  * each contraction X = alpha . T equals X' (x) Id_m with X' = alpha . T',
+    and assemble places the slices, scaled by fixed signs, into fixed block
+    positions, so F[(J, b'm+s), (I, c'm+t)] = F'[(J, b'), (I, c')] * delta(s, t)
+    entrywise: after a row and column permutation F is the block diagonal of
+    m copies of F';
+  * row (J, b'm+s) of F holds exactly the nonzero entries of row (J, b') of
+    F', so exact_linalg._integer_grid scales both by the same integer and
+    the scaled F is again m copies of the scaled F';
+  * the rank of a block-diagonal matrix is the sum of the blocks' ranks over
+    any field, so rank_mod(F) = m * rank_mod(F') exactly, and likewise over Q.
+
+The covector draws, the independence check (on the same dimA) and every
+recorded rank are therefore the same as on the dense flattening, and the
+certificate keeps its soundness: it may still only under-report through the
+prime, never through the reduction.  The dense side comb(2p+1, p) * dimB is
+what the command-line size cap measures.
 """
 
 from __future__ import annotations
@@ -35,7 +58,7 @@ from typing import Optional, Sequence
 
 from .exact_linalg import RANK_PRIME, rank_mod
 from .flattening import assemble, flattening_pattern
-from .tensor_core import Tensor3, slice_family
+from .tensor_core import Tensor3, identity_factor, slice_family
 
 SQUARE_ONLY_TAGS = {"strassen", "blaser", "landsberg", "mr_p2_refined", "mr_p3_refined"}
 PARAMETRIC_TAGS = {"landsberg", "mr"}
@@ -139,27 +162,26 @@ def crossover(a: BoundKind, b: BoundKind, n_max: int = 1000) -> CrossoverReport:
     """First n where value(a) >= value(b) (and >), on exact values and ceilings.
 
     monotone_after reports whether value(a) - value(b) is nondecreasing from
-    the first_geq point up to n_max.
+    the first_geq point up to n_max.  The scan keeps only the previous
+    difference, so its memory does not grow with n_max.
     """
     first_geq = first_strict = None
     first_geq_c = first_strict_c = None
-    diffs = []
+    monotone = previous = None
     for n in range(1, n_max + 1):
         va, vb = bound_value(a, n), bound_value(b, n)
         diff = va.value - vb.value
-        diffs.append(diff)
         if first_geq is None and diff >= 0:
-            first_geq = n
+            first_geq, monotone = n, True
+        elif monotone and diff < previous:
+            monotone = False
+        previous = diff
         if first_strict is None and diff > 0:
             first_strict = n
         if first_geq_c is None and va.ceiling >= vb.ceiling:
             first_geq_c = n
         if first_strict_c is None and va.ceiling > vb.ceiling:
             first_strict_c = n
-    monotone = None
-    if first_geq is not None:
-        tail = diffs[first_geq - 1 :]
-        monotone = all(x <= y for x, y in zip(tail, tail[1:]))
     return CrossoverReport(a, b, n_max, first_geq, first_strict, first_geq_c, first_strict_c, monotone)
 
 
@@ -195,10 +217,15 @@ def certify_border_rank(
     explicit alphas list replaces the random search (single evaluation).  The
     result is a valid lower bound for the border rank (hence rank) of the
     tensor: ranks are taken mod RANK_PRIME, which can only under-report them.
-    Trials are indexed, so results are reproducible for a given seed.
+    Each rank is m times the rank of the flattening of the reduced tensor
+    T' with T = T' (x) Id_m (see the module docstring), which equals the
+    rank of the full flattening.  Trials are indexed, so results are
+    reproducible for a given seed.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if tensor.dim_b != tensor.dim_c:
         raise DegenerateSubspaceError("slices are not square (dimB != dimC)")
     count = 2 * p + 1
@@ -206,13 +233,14 @@ def certify_border_rank(
         raise DegenerateSubspaceError(f"p too large: need 2p+1 <= dimA = {tensor.dim_a}")
     divisor = math.comb(2 * p, p)
     sym, _ = flattening_pattern(p)
+    reduced, copies = identity_factor(tensor)
 
     def evaluate(alpha_list) -> Optional[tuple[int, tuple]]:
         try:
-            family = slice_family(tensor, alpha_list)
+            family = slice_family(reduced, alpha_list)
         except ValueError:
             return None
-        rank = rank_mod(assemble(sym, family))
+        rank = copies * rank_mod(assemble(sym, family))
         return rank, tuple(tuple(Fraction(x) for x in a) for a in alpha_list)
 
     if alphas is not None:

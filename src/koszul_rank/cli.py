@@ -5,6 +5,10 @@ invocations produce byte-identical output.  Table formats: md (default), csv,
 json.  Exit codes: 0 success, 1 check failure, 2 input error, 3 degenerate
 computation.  Input beyond the size caps below (MAX_SYMBOLIC_P for flatten
 and verify --p) exits 2 before anything is allocated.
+
+certify caps the dense flattening side comb(2p+1, p) * dimB even though a
+matrix multiplication tensor M_{n,l,m} is certified on its reduced
+flattening, m times smaller on each side (bounds.certify_border_rank).
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ EXIT_DEGENERATE = 3
 # Size caps; they admit M_5 (dims product 15625) and M_4 at p = 3 (side 560).
 MAX_DIMS_PRODUCT = 100_000  # dimA * dimB * dimC of a certify tensor
 MAX_FLATTENING_SIDE = 1000  # comb(2p+1, p) * dimB: certify, flatten --numeric, verify --n
+# keylemma allocates the n^2 basis matrices (n^4 entries) before any stage;
+# 31 is where mr:2 first beats Blaser's bound (crossover --a mr:2 --b blaser)
+MAX_KEYLEMMA_N = 31
+MAX_CROSSOVER_N = 100_000  # crossover --n-max: one exact evaluation per n
 
 
 def _input_error(message: str) -> int:
@@ -146,6 +154,8 @@ def _cmd_crossover(args) -> int:
         kind_b = BoundKind.parse(args.b)
     except ValueError as exc:
         return _input_error(str(exc))
+    if not 1 <= args.n_max <= MAX_CROSSOVER_N:
+        return _input_error(f"--n-max must be in 1..{MAX_CROSSOVER_N}")
     report = crossover(kind_a, kind_b, args.n_max)
     notes = []
     pair = {str(kind_a), str(kind_b)}
@@ -198,6 +208,8 @@ def _cmd_flatten(args) -> int:
 def _cmd_certify(args) -> int:
     if args.p < 1:
         return _input_error("--p must be >= 1")
+    if args.trials < 1:
+        return _input_error("--trials must be >= 1")
     if args.tensor:
         try:
             with open(args.tensor, "r", encoding="utf-8") as handle:
@@ -279,6 +291,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_keylemma(args) -> int:
+    if not 2 <= args.n <= MAX_KEYLEMMA_N:
+        return _input_error(f"--n must be in 2..{MAX_KEYLEMMA_N}")
     try:
         witness = key_lemma_search(args.n, args.p, seed=args.seed)
     except (KeyLemmaStageError, NotImplementedError, ValueError) as exc:

@@ -181,16 +181,26 @@ def elementary_basis(n: int) -> list[ExactMatrix]:
     return out
 
 
-def _matrix_from_coords(coords: Sequence, basis: Sequence[ExactMatrix], n: int) -> ExactMatrix:
+def _basis_entries(basis: Sequence[ExactMatrix]) -> list[tuple[tuple[int, int, Entry], ...]]:
+    """Each basis matrix's nonzero entries (i, j, value), listed once."""
+    return [
+        tuple((i, j, v) for i in range(b.rows) for j, v in enumerate(b.row(i)) if v)
+        for b in basis
+    ]
+
+
+def _matrix_from_entries(coords: Sequence, entries: Sequence, n: int) -> ExactMatrix:
+    """sum_k coords[k] * basis[k], touching only the listed nonzero entries."""
     grid = [[0] * n for _ in range(n)]
-    for x, b in zip(coords, basis):
+    for x, cells in zip(coords, entries):
         if x:
-            for i in range(n):
-                row = b.row(i)
-                for j in range(n):
-                    if row[j]:
-                        grid[i][j] += x * row[j]
+            for i, j, v in cells:
+                grid[i][j] += x * v
     return ExactMatrix(grid)
+
+
+def _matrix_from_coords(coords: Sequence, basis: Sequence[ExactMatrix], n: int) -> ExactMatrix:
+    return _matrix_from_entries(coords, _basis_entries(basis), n)
 
 
 @dataclass(frozen=True)
@@ -398,9 +408,10 @@ def _run_pipeline(
 ) -> KeyLemmaWitness:
     arity = n * n
     budgets = _stage_budgets(n, p)
+    entries = _basis_entries(basis)
 
     def build(coords: Sequence) -> ExactMatrix:
-        return _matrix_from_coords(coords, basis, n)
+        return _matrix_from_entries(coords, entries, n)
 
     def run_stage(stage: int, poly: PolynomialEvaluator) -> SupportWitness:
         """Search, stopping at the stage budget, then shrink the witness point."""

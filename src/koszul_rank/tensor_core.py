@@ -3,15 +3,17 @@
 A tensor lives in A (x) B (x) C with sparse coordinate storage.  The module
 covers what the rest of the package needs: building the matrix multiplication
 tensor, contracting against covectors of A*, extracting ordered slice
-families, verifying rank-one decompositions exactly, left kernels, and the
-block-diagonal endomorphism lift whose commutator rank scales by the number
-of copies.
+families, splitting off an identity factor (T = T' (x) Id_m in the B and C
+factors, as for every matrix multiplication tensor), verifying rank-one
+decompositions exactly, left kernels, and the block-diagonal endomorphism
+lift whose commutator rank scales by the number of copies.
 
 Pair indices are flattened row-major everywhere: (i, j) -> i * cols + j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -125,6 +127,38 @@ def matmul_tensor(n: int, l: int, m: int) -> Tensor3:
             for k in range(m):
                 entries[(i * l + j, j * m + k, i * m + k)] = 1
     return Tensor3((n * l, l * m, n * m), entries)
+
+
+def identity_factor(tensor: Tensor3) -> tuple[Tensor3, int]:
+    """The largest m with T = T' (x) Id_m in the B and C factors, and that T'.
+
+    m runs over the divisors of gcd(dimB, dimC) from the largest down and is
+    the first for which T[a, b'm+s, c'm+t] = T'[a, b', c'] * delta(s, t)
+    holds at every entry; T' has dims (dimA, dimB/m, dimC/m).  Every
+    contraction then factors as contract_a(T, alpha) = contract_a(T', alpha)
+    (x) Id_m.  matmul_tensor(n, l, m) factors with this m, its reduced slices
+    being the l x n matrices alpha^T.  Each candidate costs O(nnz) and stops
+    at the first mismatch; a tensor that does not factor gives (T, 1).
+    """
+    a, b, c = tensor.dims
+    g = math.gcd(b, c)
+    divisors = {d for i in range(1, math.isqrt(g) + 1) if g % i == 0 for d in (i, g // i)}
+    for m in sorted(divisors - {1}, reverse=True):
+        # T' is read off the s = t = 0 entries; every entry must then match it
+        # with s == t, and m copies of each T' entry account for all of T
+        reduced = {
+            (i, j // m, k // m): v
+            for (i, j, k), v in tensor.entries.items()
+            if j % m == 0 and k % m == 0
+        }
+        if len(tensor.entries) != m * len(reduced):
+            continue
+        if all(
+            j % m == k % m and reduced.get((i, j // m, k // m)) == v
+            for (i, j, k), v in tensor.entries.items()
+        ):
+            return Tensor3((a, b // m, c // m), reduced), m
+    return tensor, 1
 
 
 def contract_a(tensor: Tensor3, alpha: Sequence) -> ExactMatrix:

@@ -16,8 +16,15 @@ from koszul_rank.bounds import (
     certify_border_rank,
     crossover,
 )
-from koszul_rank.exact_linalg import RANK_PRIME
-from koszul_rank.tensor_core import Tensor3, matmul_tensor, tensor_from_json
+from koszul_rank.exact_linalg import RANK_PRIME, rank_mod
+from koszul_rank.flattening import assemble, flattening_pattern
+from koszul_rank.tensor_core import (
+    Tensor3,
+    identity_factor,
+    matmul_tensor,
+    slice_family,
+    tensor_from_json,
+)
 from oracles import gauss_rank, koszul_matrix
 
 
@@ -177,6 +184,70 @@ def test_certificate_rational_tensor_matches_oracle():
     assert certificate.bound == 3
 
 
+def dense_rank(tensor, p, alphas):
+    """rank_mod of the full flattening, without splitting off Id_m."""
+    sym, _ = flattening_pattern(p)
+    return rank_mod(assemble(sym, slice_family(tensor, alphas)))
+
+
+def random_draws(rng, dim_a, p, count=3):
+    return [[[rng.randint(-9, 9) for _ in range(dim_a)] for _ in range(2 * p + 1)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "shape, p",
+    [((2, 2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((3, 3, 3), 3), ((3, 3, 5), 2),
+     ((4, 4, 4), 2)],
+)
+def test_reduced_flattening_rank_equals_dense_rank(shape, p):
+    tensor = matmul_tensor(*shape)
+    assert identity_factor(tensor)[1] == shape[2]  # the reduced path is taken
+    rng = random.Random(100 * p + sum(shape))
+    for draw in random_draws(rng, tensor.dim_a, p):
+        certificate = certify_border_rank(tensor, p, alphas=draw)
+        assert certificate.flattening_rank == dense_rank(tensor, p, draw)
+        if p == 1 and shape[0] <= 3:
+            assert certificate.flattening_rank == gauss_rank(koszul_matrix(tensor, draw))
+
+
+def test_near_miss_tensors_certify_like_the_dense_path():
+    # one perturbed or missing entry must not be certified as M_3 (x) Id_3
+    tensor = matmul_tensor(3, 3, 3)
+    perturbed = dict(tensor.entries)
+    perturbed[(0, 0, 0)] = 2
+    missing = dict(tensor.entries)
+    del missing[(0, 0, 0)]
+    rng = random.Random(23)
+    for entries in (perturbed, missing):
+        near = Tensor3(tensor.dims, entries)
+        assert identity_factor(near)[1] == 1
+        for draw in random_draws(rng, near.dim_a, 1):
+            rank = certify_border_rank(near, 1, alphas=draw).flattening_rank
+            assert rank == dense_rank(near, 1, draw) == gauss_rank(koszul_matrix(near, draw))
+
+
+def test_rational_tensor_times_identity_certifies_like_the_dense_path():
+    # "p/q" entries make _integer_grid scale rows; the copies must scale alike
+    rng = random.Random(29)
+    base = {
+        (i, j, k): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for i, j, k in itertools.product(range(3), range(2), range(2))
+    }
+    entries = [
+        [i, j * 2 + s, k * 2 + s, f"{v.numerator}/{v.denominator}"]
+        for (i, j, k), v in base.items() if v for s in range(2)
+    ]
+    tensor = tensor_from_json({"dims": [3, 4, 4], "entries": entries})
+    assert identity_factor(tensor)[1] == 2
+    for draw in random_draws(rng, 3, 1):
+        certificate = certify_border_rank(tensor, 1, alphas=draw)
+        assert certificate.flattening_rank == dense_rank(tensor, 1, draw)
+        assert certificate.flattening_rank == gauss_rank(koszul_matrix(tensor, draw))
+    seeded = certify_border_rank(tensor, 1, seed=3)
+    assert seeded.flattening_rank == dense_rank(tensor, 1, [list(a) for a in seeded.alphas])
+
+
 def test_certificate_explicit_alphas():
     tensor = matmul_tensor(2, 2, 2)
     alphas = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
@@ -185,6 +256,11 @@ def test_certificate_explicit_alphas():
     assert certificate.bound >= 4
     with pytest.raises(DegenerateSubspaceError, match="dependent"):
         certify_border_rank(tensor, 1, alphas=[[1, 0, 0, 1]] * 3)
+
+
+def test_certificate_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        certify_border_rank(matmul_tensor(2, 2, 2), 1, trials=0)
 
 
 def test_certificate_p_too_large():

@@ -5,8 +5,15 @@ import json
 
 import pytest
 
-from koszul_rank.cli import MAX_DIMS_PRODUCT, _flattening_too_large, main
+from koszul_rank.cli import (
+    MAX_CROSSOVER_N,
+    MAX_DIMS_PRODUCT,
+    MAX_KEYLEMMA_N,
+    _flattening_too_large,
+    main,
+)
 from koszul_rank.keylemma import KeyLemmaWitness, elementary_basis, validate_witness
+from koszul_rank.bounds import BoundKind, crossover
 from koszul_rank.exact_linalg import matrix_from_json
 from koszul_rank.tensor_core import matmul_tensor, tensor_to_json
 
@@ -216,6 +223,12 @@ def test_flatten_golden_output(capsys, p, commutators):
         ("certify", "--matmul", "4,4,4", "--p", "4"),
         ("certify", "--matmul", "2,2,2", "--p", "0"),
         ("certify", "--matmul", "2,0,2", "--p", "1"),
+        ("certify", "--matmul", "2,2,2", "--p", "1", "--trials", "0"),
+        ("certify", "--matmul", "2,2,2", "--p", "1", "--trials", "-3"),
+        ("keylemma", "--n", "1", "--p", "2"),
+        ("keylemma", "--n", "1000", "--p", "2"),
+        ("crossover", "--a", "mr:2", "--b", "blaser", "--n-max", "0"),
+        ("crossover", "--a", "mr:2", "--b", "blaser", "--n-max", "1000000000"),
         ("verify", "--suite", "remark-imp", "--p", "6"),
         ("verify", "--suite", "strassen", "--n", "-1"),
         ("verify", "--suite", "p2", "--n", "1000"),
@@ -245,6 +258,10 @@ def test_size_caps_admit_desk_scale_inputs():
     assert not _flattening_too_large(3, 16)  # M_4 at p = 3: side 560
     assert not _flattening_too_large(2, 16)  # the 160 x 160 generated tensor flattening
     assert _flattening_too_large(6, 1)
+    # keylemma must reach the n where mr:2 first beats Blaser's bound (31)
+    first = crossover(BoundKind.parse("mr:2"), BoundKind.parse("blaser"), 100).first_strict
+    assert first == 31 and MAX_KEYLEMMA_N >= first
+    assert MAX_CROSSOVER_N >= 1000  # the default --n-max
 
 
 def test_byte_determinism(capsys):

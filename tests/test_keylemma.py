@@ -31,6 +31,21 @@ def det_evaluator(n):
     )
 
 
+def test_matrix_from_coords_is_the_basis_combination():
+    rng = random.Random(31)
+    n = 3
+    basis = [
+        ExactMatrix([[rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)] for _ in range(n)])
+        for _ in range(n * n)
+    ]
+    for _ in range(5):
+        coords = [rng.choice((0, rng.randint(-9, 9))) for _ in range(n * n)]
+        expected = ExactMatrix.zeros(n, n)
+        for x, b in zip(coords, basis):
+            expected = expected + x * b
+        assert _matrix_from_coords(coords, basis, n) == expected
+
+
 def test_h_value_examples():
     assert h_value(10, 2) == 20
     assert h_value(10, 3) == -160

@@ -12,6 +12,7 @@ from koszul_rank.tensor_core import (
     contract_a,
     decomposition_to_json,
     decomposition_from_json,
+    identity_factor,
     left_kernel_dim,
     lift_endomorphism,
     matmul_tensor,
@@ -70,6 +71,72 @@ def test_contract_is_linear_in_alpha():
         y = [rng.randint(-5, 5) for _ in range(4)]
         both = contract_a(t, [a + b for a, b in zip(x, y)])
         assert both == contract_a(t, x) + contract_a(t, y)
+
+
+def kron_identity(tensor, m):
+    """T (x) Id_m in the B and C factors: entry (a, b*m+s, c*m+s) = T[a, b, c]."""
+    a, b, c = tensor.dims
+    entries = {
+        (i, j * m + s, k * m + s): v for (i, j, k), v in tensor.entries.items() for s in range(m)
+    }
+    return Tensor3((a, b * m, c * m), entries)
+
+
+def test_identity_factor_of_matmul_is_m_with_slices_alpha_transpose():
+    rng = random.Random(11)
+    for n, m in [(1, 4), (2, 2), (2, 3), (3, 3), (3, 5), (4, 4), (4, 6)]:
+        t = matmul_tensor(n, n, m)
+        reduced, copies = identity_factor(t)
+        assert copies == m
+        assert reduced.dims == (n * n, n, n)
+        assert kron_identity(reduced, m) == t
+        alpha = [rng.randint(-9, 9) for _ in range(n * n)]
+        # alpha read as the n x n matrix A (row-major); the reduced slice is A^T
+        assert contract_a(reduced, alpha) == ExactMatrix(
+            [[alpha[i * n + j] for i in range(n)] for j in range(n)]
+        )
+
+
+def test_identity_factor_of_rectangular_matmul():
+    # M_{n,l,m}: the reduced slices are l x n
+    reduced, copies = identity_factor(matmul_tensor(2, 3, 4))
+    assert copies == 4 and reduced.dims == (6, 3, 2)
+
+
+def test_identity_factor_recovers_a_kronecker_product():
+    rng = random.Random(12)
+    base = Tensor3(
+        (3, 2, 2),
+        {(i, j, k): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+         for i in range(3) for j in range(2) for k in range(2)},
+    )
+    assert identity_factor(base) == (base, 1)
+    reduced, copies = identity_factor(kron_identity(base, 3))
+    assert (reduced, copies) == (base, 3)
+
+
+def test_identity_factor_rejects_near_misses():
+    # a wrong factor would over-report every flattening rank m-fold
+    t = matmul_tensor(3, 3, 3)
+    perturbed = dict(t.entries)
+    perturbed[next(iter(perturbed))] = 2
+    assert identity_factor(Tensor3(t.dims, perturbed))[1] == 1
+    missing = dict(t.entries)
+    del missing[max(missing)]
+    assert identity_factor(Tensor3(t.dims, missing))[1] == 1
+    moved = dict(t.entries)
+    del moved[(0, 1, 1)]
+    moved[(0, 1, 2)] = 1  # same count, but s = 1 and t = 2 inside a 3 x 3 block
+    assert identity_factor(Tensor3(t.dims, moved))[1] == 1
+
+
+def test_identity_factor_trivial_cases():
+    single = Tensor3((3, 2, 2), {(0, 0, 0): 1})
+    assert identity_factor(single) == (single, 1)
+    rectangular = Tensor3((2, 3, 5), {(0, 0, 0): 1, (1, 2, 4): 1})
+    assert identity_factor(rectangular) == (rectangular, 1)
+    # the zero tensor factors through every divisor; the largest is taken
+    assert identity_factor(Tensor3((4, 6, 4), {})) == (Tensor3((4, 3, 2), {}), 2)
 
 
 def test_slice_family_examples():
