@@ -16,7 +16,9 @@ may stand in for rank_exact only where a lower rank can only weaken a result
 (border-rank certificates), never where it would change a decision
 (independence checks).  A nonzero det_mod proves det != 0, but a zero
 residue proves nothing: it may only reject a sample, never certify a
-vanishing determinant or stand in for a stored exact value.
+vanishing determinant or stand in for a stored exact value.  reduce_mod
+and invert_mod map a matrix into GF(RANK_PRIME) and invert it there, which
+is how flattening ranks its Schur complement.
 
 Also provides the two classical determinant identities used throughout:
 
@@ -33,7 +35,7 @@ import math
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
 
@@ -328,6 +330,46 @@ def invert(m: ExactMatrix) -> ExactMatrix:
             if i != c and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return ExactMatrix([row[n:] for row in a])
+
+
+def reduce_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]:
+    """Entrywise image of m in GF(prime), entries in [0, prime).
+
+    None when prime divides a denominator, where m has no image.
+    """
+    if any(x.denominator % prime == 0 for row in m for x in row):
+        return None
+
+    def residue(x: Entry) -> int:
+        if type(x) is int:
+            return x % prime
+        return x.numerator * pow(x.denominator, -1, prime) % prime
+
+    return ExactMatrix([[residue(x) for x in row] for row in m])
+
+
+def invert_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]:
+    """Inverse over GF(prime) of an integer matrix (Gauss-Jordan).
+
+    Entries of the result lie in [0, prime); None when m is singular mod
+    prime, which an integer matrix of nonzero determinant can still be.
+    """
+    if not m.is_square:
+        raise ValueError("inverse of non-square matrix")
+    n = m.rows
+    a = [[x % prime for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), -1)
+        if piv < 0:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        inv = pow(a[c][c], -1, prime)
+        row_c = a[c] = [x * inv % prime for x in a[c]]
+        for i in range(n):
+            f = a[i][c]
+            if i != c and f:
+                a[i] = [(x - f * y) % prime for x, y in zip(a[i], row_c)]
     return ExactMatrix([row[n:] for row in a])
 
 

@@ -17,6 +17,8 @@ X_1..X_2p, and the upper right corner vanishes identically.  When X_0 is the
 identity, eliminating with the D rows turns the determinant into that of the
 Schur complement -(Q R), a square grid in which every nonzero cell is a single
 signed commutator [X_i, X_j]; commutator_matrix builds exactly that grid.
+flattening_rank_mod ranks the flattening over GF(2^61 - 1) on that grid,
+after normalizing X_0 to the identity mod the prime.
 
 Blocks carry three label kinds: zero, +-X_k and +-[X_i, X_j].  Both grids
 are built from their nonzero blocks only.
@@ -28,10 +30,19 @@ grids; verify --suite p3 and the tests compare the constructed grids to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .exact_linalg import ExactMatrix, commutator, invert
+from .exact_linalg import (
+    RANK_PRIME,
+    ExactMatrix,
+    commutator,
+    invert,
+    invert_mod,
+    rank_mod,
+    reduce_mod,
+)
 from .tensor_core import SliceFamily
 from .wedge import WedgeIndex, insert_sign, wedge_basis
 
@@ -194,42 +205,40 @@ def flattening_pattern(p: int):
     return SymbolicBlockMatrix(size, size, labels), layout
 
 
-def _label_matrix(
-    label: BlockLabel,
-    slices: SliceFamily,
-    commutators: dict[tuple[int, int], ExactMatrix],
-) -> ExactMatrix:
-    n = slices.b
-    if label.is_zero:
-        return ExactMatrix.zeros(n, n)
+def _unsigned_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
+    """X_k or [X_i, X_j] for a nonzero label, ignoring its sign."""
     if label.kind == BlockLabel.SLICE_KIND:
         if label.index >= len(slices.slices):
             raise ValueError(f"missing slice X_{label.index}")
-        base = slices.slices[label.index]
-    else:
-        i, j = label.pair
-        if max(i, j) >= len(slices.slices):
-            raise ValueError(f"missing slice X_{max(i, j)}")
-        base = commutators.get(label.pair)
-        if base is None:
-            base = commutators[label.pair] = commutator(slices.slices[i], slices.slices[j])
-    return base if label.sign > 0 else -base
+        return slices.slices[label.index]
+    i, j = label.pair
+    if max(i, j) >= len(slices.slices):
+        raise ValueError(f"missing slice X_{max(i, j)}")
+    return commutator(slices.slices[i], slices.slices[j])
 
 
 def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
     """Expand a symbolic grid into a numeric matrix using the given slices.
 
-    Each distinct commutator [X_i, X_j] is computed once per call: a p = 2
-    grid has 16 commutator cells but only 6 distinct pairs.
+    Each distinct label is expanded once per call and every zero cell shares
+    one zero block: a p = 2 grid has 16 commutator cells but only 6 distinct
+    pairs.
     """
     if slices.b != slices.c:
         raise ValueError("non-square slices")
-    commutators: dict[tuple[int, int], ExactMatrix] = {}
-    grid = [
-        [_label_matrix(label, slices, commutators) for label in row]
-        for row in sym.labels
-    ]
-    return ExactMatrix.from_blocks(grid)
+    zero = ExactMatrix.zeros(slices.b, slices.b)
+    blocks: dict[BlockLabel, ExactMatrix] = {}
+
+    def block(label: BlockLabel) -> ExactMatrix:
+        if label.is_zero:
+            return zero
+        matrix = blocks.get(label)
+        if matrix is None:
+            matrix = _unsigned_matrix(label, slices) if label.sign > 0 else -block(-label)
+            blocks[label] = matrix
+        return matrix
+
+    return ExactMatrix.from_blocks([[block(label) for label in row] for row in sym.labels])
 
 
 @dataclass(frozen=True)
@@ -348,6 +357,42 @@ def commutator_matrix(slices: SliceFamily):
         raise ValueError("normalize first")
     sym = commutator_pattern(slices.p)
     return sym, assemble(sym, slices)
+
+
+@lru_cache(maxsize=None)
+def _schur_grid(p: int) -> SymbolicBlockMatrix:
+    """commutator_pattern(p), built once per p for flattening_rank_mod."""
+    return commutator_pattern(p)
+
+
+def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
+    """rank_mod of the assembled flattening, taken on its Schur complement.
+
+    When prime divides no slice denominator and X_0 is invertible mod prime,
+    left-multiplying every block row by X_0^-1 over GF(prime) turns the
+    flattening into [[Q', 0], [Id, R']], and eliminating with the Id rows
+    leaves -(Q' R'), which commutator_pattern checks cell by cell is the
+    commutator grid of the normalized slices X_0^-1 X_i.  Hence
+
+        rank = binom(2p, p) * b + rank(commutator grid of X_0^-1 X_i mod prime),
+
+    a grid binom(2p, p+1) * b wide instead of binom(2p+1, p) * b.  Otherwise
+    the dense flattening is ranked.  Either way the value equals
+    rank_mod(assemble(flattening_pattern(p)[0], slices), prime).
+    """
+    if slices.b != slices.c:
+        raise ValueError("non-square slices")
+    p, n = slices.p, slices.b
+    reduced = [reduce_mod(x, prime) for x in slices.slices]
+    x0_inv = None if any(x is None for x in reduced) else invert_mod(reduced[0], prime)
+    if x0_inv is None:
+        sym, _ = flattening_pattern(p)
+        return rank_mod(assemble(sym, slices), prime)
+    normalized = (ExactMatrix.identity(n),) + tuple(
+        reduce_mod(x0_inv * x, prime) for x in reduced[1:]
+    )
+    grid = assemble(_schur_grid(p), SliceFamily(p, n, n, normalized))
+    return comb(2 * p, p) * n + rank_mod(grid, prime)
 
 
 @dataclass(frozen=True)

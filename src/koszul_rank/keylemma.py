@@ -45,6 +45,7 @@ from .exact_linalg import (
     det_mod,
     invert,
     rank_exact,
+    rank_mod,
 )
 from .flattening import assemble, commutator_matrix, commutator_pattern, normalize_pivot
 from .tensor_core import SliceFamily
@@ -391,7 +392,9 @@ def key_lemma_search(
     if len(basis) != n * n:
         raise KeyLemmaStageError("stage P0: basis must have n^2 elements")
     stacked = ExactMatrix([[b[i, j] for i in range(n) for j in range(n)] for b in basis])
-    if rank_exact(stacked) != n * n:
+    # full rank mod the prime proves full rank over Q; only a short modular
+    # rank needs the exact (n^6) elimination to decide
+    if rank_mod(stacked) != n * n and rank_exact(stacked) != n * n:
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
 
     failures = []

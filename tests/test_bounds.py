@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from koszul_rank import exact_linalg, flattening
 from koszul_rank.bounds import (
     BoundKind,
     Certificate,
@@ -16,6 +19,7 @@ from koszul_rank.bounds import (
     certify_border_rank,
     crossover,
 )
+from koszul_rank.cli import main
 from koszul_rank.exact_linalg import RANK_PRIME, rank_mod
 from koszul_rank.flattening import assemble, flattening_pattern
 from koszul_rank.tensor_core import (
@@ -209,6 +213,88 @@ def test_reduced_flattening_rank_equals_dense_rank(shape, p):
         assert certificate.flattening_rank == dense_rank(tensor, p, draw)
         if p == 1 and shape[0] <= 3:
             assert certificate.flattening_rank == gauss_rank(koszul_matrix(tensor, draw))
+
+
+MATMUL_CASES = [((2, 2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((3, 3, 3), 3), ((3, 3, 5), 2),
+                ((4, 4, 4), 2)]
+
+
+@st.composite
+def matmul_draws(draw):
+    """A matmul case and 2p+1 integer covectors for it."""
+    shape, p = draw(st.sampled_from(MATMUL_CASES))
+    dim_a = shape[0] * shape[1]
+    row = st.lists(st.integers(-9, 9), min_size=dim_a, max_size=dim_a)
+    return shape, p, draw(st.lists(row, min_size=2 * p + 1, max_size=2 * p + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(matmul_draws())
+def test_certify_rank_equals_dense_rank_property(case):
+    # the certify rank goes through the identity factor and the Schur
+    # complement; the dense rank through neither
+    shape, p, draw = case
+    tensor = matmul_tensor(*shape)
+    try:
+        certificate = certify_border_rank(tensor, p, alphas=draw)
+    except DegenerateSubspaceError:
+        assume(False)  # dependent covectors
+    assert certificate.flattening_rank == dense_rank(tensor, p, draw)
+    if p == 1:
+        assert certificate.flattening_rank == gauss_rank(koszul_matrix(tensor, draw))
+
+
+def test_certify_ranks_only_the_commutator_grid(monkeypatch):
+    # a slide back to the dense flattening (105 x 105 for M_3 at p = 3 after
+    # splitting off Id_3, 315 x 315 without) fails here
+    shapes = []
+    real = exact_linalg.rank_mod
+
+    def spy(m, prime=RANK_PRIME):
+        shapes.append(m.shape)
+        return real(m, prime)
+
+    for module in (exact_linalg, flattening):
+        monkeypatch.setattr(module, "rank_mod", spy)
+    assert main(["certify", "--matmul", "3,3,3", "--p", "3"]) == 0
+    assert shapes and set(shapes) == {(45, 45)}
+
+
+def test_certify_falls_back_when_x0_is_singular_over_q():
+    # alpha^0 a unit covector: X_0 = E_00 for M_3, singular over Q
+    tensor = matmul_tensor(3, 3, 3)
+    rng = random.Random(31)
+    for p in (1, 2):
+        draw = [[int(i == 0) for i in range(9)]] + random_draws(rng, 9, p, count=1)[0][1:]
+        certificate = certify_border_rank(tensor, p, alphas=draw)
+        assert certificate.flattening_rank == dense_rank(tensor, p, draw)
+        if p == 1:
+            assert certificate.flattening_rank == gauss_rank(koszul_matrix(tensor, draw))
+
+
+def test_certify_falls_back_when_x0_is_singular_mod_the_prime():
+    # the first slice has det exactly 2^61 - 1: invertible over Q only
+    rng = random.Random(37)
+    entries = {(0, 0, 0): 1, (0, 1, 1): RANK_PRIME, (0, 2, 2): 1}
+    for i, j, k in itertools.product((1, 2), range(3), range(3)):
+        entries[(i, j, k)] = rng.randint(-4, 4)
+    tensor = Tensor3((3, 3, 3), {key: v for key, v in entries.items() if v})
+    units = [[int(i == a) for i in range(3)] for a in range(3)]
+    certificate = certify_border_rank(tensor, 1, alphas=units)
+    assert certificate.flattening_rank == dense_rank(tensor, 1, units)
+    assert certificate.flattening_rank <= gauss_rank(koszul_matrix(tensor, units))
+
+
+def test_certify_falls_back_when_the_prime_divides_a_denominator():
+    rng = random.Random(41)
+    entries = [[i, j, k, f"{rng.randint(1, 5)}/{rng.choice([1, 2, RANK_PRIME])}"]
+               for i, j, k in itertools.product(range(3), range(3), range(3))]
+    tensor = tensor_from_json({"dims": [3, 3, 3], "entries": entries})
+    assert any(v.denominator == RANK_PRIME for v in tensor.entries.values())
+    for draw in random_draws(rng, 3, 1):
+        certificate = certify_border_rank(tensor, 1, alphas=draw)
+        assert certificate.flattening_rank == dense_rank(tensor, 1, draw)
+        assert certificate.flattening_rank <= gauss_rank(koszul_matrix(tensor, draw))
 
 
 def test_near_miss_tensors_certify_like_the_dense_path():

@@ -16,12 +16,14 @@ from koszul_rank.exact_linalg import (
     det_mod,
     det_rank_update,
     invert,
+    invert_mod,
     matrix_from_json,
     matrix_to_json,
     random_int_matrix,
     random_invertible,
     rank_exact,
     rank_mod,
+    reduce_mod,
     schur_block_det,
 )
 from oracles import cofactor_det, gauss_det, gauss_rank
@@ -209,6 +211,43 @@ def test_det_mod_shapes():
     assert det_mod(ExactMatrix([])) == 1
     with pytest.raises(ValueError, match="non-square"):
         det_mod(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+# -- inverse modulo a prime ------------------------------------------------------
+
+
+@PROPERTY
+@given(square_matrices(INTEGERS), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_invert_mod_is_an_inverse_exactly_when_det_mod_is_nonzero(m, prime):
+    inverse = invert_mod(m, prime)
+    if det_mod(m, prime) == 0:
+        assert inverse is None
+        return
+    assert all(0 <= x < prime for row in inverse for x in row)
+    product = reduce_mod(m * inverse, prime)
+    assert product == ExactMatrix.identity(m.rows)
+
+
+def test_invert_mod_singular_only_mod_the_prime():
+    m = ExactMatrix([[1, 0], [0, RANK_PRIME]])
+    assert det_exact(m) == RANK_PRIME
+    assert invert_mod(m) is None
+    assert invert_mod(m, 5) == ExactMatrix([[1, 0], [0, pow(RANK_PRIME, -1, 5)]])
+    with pytest.raises(ValueError, match="non-square"):
+        invert_mod(ExactMatrix([[1, 2]]))
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_reduce_mod_maps_each_entry_to_its_residue(m, prime):
+    image = reduce_mod(m, prime)
+    if any(x.denominator % prime == 0 for row in m for x in row):
+        assert image is None
+        return
+    assert image.shape == m.shape
+    for row, image_row in zip(m, image):
+        for x, y in zip(row, image_row):
+            assert 0 <= y < prime and (y * x.denominator - x.numerator) % prime == 0
 
 
 # -- int and Fraction entries ----------------------------------------------------

@@ -1,12 +1,17 @@
 """Flattening construction, block partition, commutator grid, structure checks."""
 
 import random
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from koszul_rank import flattening
 from koszul_rank.exact_linalg import (
+    RANK_PRIME,
     ExactMatrix,
     commutator,
     det_exact,
@@ -14,6 +19,7 @@ from koszul_rank.exact_linalg import (
     random_int_matrix,
     random_invertible,
     rank_exact,
+    rank_mod,
 )
 from koszul_rank.flattening import (
     BlockLabel,
@@ -26,12 +32,14 @@ from koszul_rank.flattening import (
     commutator_pattern,
     dump_symbolic,
     flattening_pattern,
+    flattening_rank_mod,
     normalize_pivot,
     parse_symbolic,
     partition_blocks,
     reference_pattern,
 )
-from koszul_rank.tensor_core import SliceFamily
+from koszul_rank.tensor_core import SliceFamily, Tensor3, slice_family
+from oracles import gauss_rank, koszul_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,9 +259,6 @@ def test_dump_parse_roundtrip():
 def test_flattening_rank_matches_oracle_on_random_tensors():
     # The oracle builds the map directly from the tensor with its own sign
     # and layout conventions; ranks must agree with the assembled grid.
-    from oracles import gauss_rank, koszul_matrix
-    from koszul_rank.tensor_core import Tensor3, slice_family
-
     rng = random.Random(26)
     for trial in range(10):
         p = rng.choice([1, 1, 2])
@@ -313,3 +318,161 @@ def test_strassen_identity_thirty_trials():
             lhs = abs(det_exact(assemble(sym, fam)))
             rhs = abs(det_exact(commutator(fam.slices[1], fam.slices[2])))
             assert lhs == rhs, f"n={n} trial={trial}"
+
+
+# -- flattening rank on the Schur complement ------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def dense_rank_mod(fam):
+    sym, _ = flattening_pattern(fam.p)
+    return rank_mod(assemble(sym, fam))
+
+
+def ranked_sides(monkeypatch, fam):
+    """flattening_rank_mod(fam) and the sides of every matrix it ranked."""
+    sides = []
+    real = flattening.rank_mod
+
+    def spy(m, prime=RANK_PRIME):
+        sides.append(m.rows)
+        return real(m, prime)
+
+    monkeypatch.setattr(flattening, "rank_mod", spy)
+    return flattening_rank_mod(fam), sides
+
+
+@st.composite
+def small_tensors(draw):
+    """p in {1, 2} and a tensor that is a sum of a few integer rank-one terms.
+
+    With fewer terms than the flattening side allows, the rank is deficient,
+    so a wrong Schur offset or a missing normalization changes it.
+    """
+    p = draw(st.integers(1, 2))
+    dim_a = 2 * p + 1 + draw(st.integers(0, 1))
+    b = draw(st.integers(2, 4))
+    values = st.integers(-3, 3)
+    entries = {}
+    for _ in range(draw(st.integers(1, b + 2))):
+        a, u, v = (draw(st.lists(values, min_size=d, max_size=d)) for d in (dim_a, b, b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(u):
+                for k, z in enumerate(v):
+                    if x * y * z:
+                        entries[(i, j, k)] = entries.get((i, j, k), 0) + x * y * z
+    alphas = draw(
+        st.lists(st.lists(values, min_size=dim_a, max_size=dim_a), min_size=2 * p + 1, max_size=2 * p + 1)
+    )
+    return Tensor3((dim_a, b, b), entries), alphas
+
+
+@PROPERTY
+@given(small_tensors(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_schur_rank_equals_dense_rank_on_small_tensors(case, prime):
+    # the rank identity holds over every GF(prime); small primes make a
+    # singular X_0 and so the dense fallback common
+    tensor, alphas = case
+    try:
+        fam = slice_family(tensor, alphas)
+    except ValueError:
+        assume(False)  # dependent covectors
+    rank = flattening_rank_mod(fam, prime)
+    assert rank == rank_mod(assemble(flattening_pattern(fam.p)[0], fam), prime)
+    if fam.p == 1 and prime == RANK_PRIME:
+        assert rank == gauss_rank(koszul_matrix(tensor, alphas))
+
+
+def test_schur_rank_ranks_only_the_commutator_grid(monkeypatch):
+    rng = random.Random(41)
+    for p, n in [(1, 3), (2, 2), (3, 2)]:
+        fam = family(p, n, rng, identity_pivot=False)
+        rank, sides = ranked_sides(monkeypatch, fam)
+        assert sides == [comb(2 * p, p + 1) * n]
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+
+
+def test_schur_rank_of_a_family_that_commutes_after_normalization():
+    # X_i = G A^i: the normalized slices A^i commute, so the commutator grid
+    # vanishes and the rank is exactly binom(2p, p) * n, although the raw
+    # slices G A^i do not commute
+    rng = random.Random(42)
+    for p, n in [(1, 3), (2, 3)]:
+        g = random_invertible(rng, n)
+        a = random_int_matrix(rng, n, n, -2, 2)
+        powers = [ExactMatrix.identity(n)]
+        for _ in range(2 * p):
+            powers.append(powers[-1] * a)
+        fam = SliceFamily(p, n, n, tuple(g * x for x in powers))
+        assert commutator(fam.slices[1], fam.slices[2]) != ExactMatrix.zeros(n, n)
+        rank = flattening_rank_mod(fam)
+        assert rank == comb(2 * p, p) * n
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [
+        ExactMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),  # singular over Q
+        ExactMatrix([[1, 0, 0], [0, RANK_PRIME, 0], [0, 0, 1]]),  # det 2^61 - 1: singular mod it only
+        ExactMatrix([[1, 2, 0], [0, 1, Fraction(1, RANK_PRIME)], [3, 0, 1]]),  # no image mod the prime
+    ],
+)
+def test_schur_rank_falls_back_to_the_dense_flattening(monkeypatch, x0):
+    rng = random.Random(43)
+    for p in (1, 2):
+        xs = tuple(random_int_matrix(rng, 3, 3) for _ in range(2 * p))
+        fam = SliceFamily(p, 3, 3, (x0, *xs))
+        rank, sides = ranked_sides(monkeypatch, fam)
+        assert sides == [comb(2 * p + 1, p) * 3]
+        assert rank == dense_rank_mod(fam)
+
+
+def test_schur_rank_on_rational_slices_matches_dense_rank(monkeypatch):
+    rng = random.Random(44)
+    for p in (1, 2):
+        xs = tuple(
+            ExactMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)])
+            for _ in range(2 * p + 1)
+        )
+        fam = SliceFamily(p, 3, 3, xs)
+        assert det_exact(xs[0]) != 0
+        rank, sides = ranked_sides(monkeypatch, fam)
+        assert sides == [comb(2 * p, p + 1) * 3]
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+
+
+def test_assemble_shares_one_zero_block_and_one_negation_per_label(monkeypatch):
+    rng = random.Random(45)
+    fam = family(2, 2, rng, identity_pivot=False)
+    sym, _ = flattening_pattern(2)
+    grid = commutator_pattern(2)
+    expected = ExactMatrix.from_blocks(
+        [
+            [
+                ExactMatrix.zeros(2, 2) if label.is_zero else label.sign * fam.slices[label.index]
+                for label in row
+            ]
+            for row in sym.labels
+        ]
+    )
+    calls = {"zeros": 0, "neg": 0}
+    zeros, neg = ExactMatrix.zeros.__func__, ExactMatrix.__neg__
+
+    def counting_zeros(cls, rows, cols):
+        calls["zeros"] += 1
+        return zeros(cls, rows, cols)
+
+    def counting_neg(self):
+        calls["neg"] += 1
+        return neg(self)
+
+    monkeypatch.setattr(ExactMatrix, "zeros", classmethod(counting_zeros))
+    monkeypatch.setattr(ExactMatrix, "__neg__", counting_neg)
+    for pattern in (sym, grid):
+        calls.update(zeros=0, neg=0)
+        assemble(pattern, fam)
+        negative = {label for row in pattern.labels for label in row if not label.is_zero and label.sign < 0}
+        assert calls == {"zeros": 1, "neg": len(negative)}
+    assert assemble(sym, fam) == expected

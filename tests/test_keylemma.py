@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from koszul_rank.exact_linalg import ExactMatrix, commutator, det_exact
+from koszul_rank.exact_linalg import RANK_PRIME, ExactMatrix, commutator, det_exact
 from koszul_rank.keylemma import (
     KeyLemmaStageError,
     PolynomialEvaluator,
@@ -175,6 +175,21 @@ def test_key_lemma_rejects_bad_inputs():
         key_lemma_search(4, 3, seed=0)
     with pytest.raises(KeyLemmaStageError, match="stage P0"):
         key_lemma_search(2, 1, basis=[ExactMatrix.identity(2)] * 4, seed=0)
+
+
+def test_basis_span_check_is_modular_first(monkeypatch):
+    # rank_mod == n^2 proves that the basis spans; the exact elimination of
+    # the n^2 x n^2 stack runs only when the modular rank comes out short
+    sides = []
+    real = keylemma.rank_exact
+    monkeypatch.setattr(keylemma, "rank_exact", lambda m: sides.append(m.rows) or real(m))
+    key_lemma_search(3, 1, seed=0)
+    assert 9 not in sides
+    basis = elementary_basis(3)
+    basis[-1] = basis[-1] * RANK_PRIME  # spans over Q, not mod the prime
+    witness = key_lemma_search(3, 1, basis=basis, seed=0)
+    assert 9 in sides
+    validate_witness(witness, basis)
 
 
 def test_key_lemma_failure_names_every_attempt(monkeypatch):
