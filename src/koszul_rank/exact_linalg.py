@@ -20,13 +20,25 @@ vanishing determinant or stand in for a stored exact value.  reduce_mod
 and invert_mod map a matrix into GF(RANK_PRIME) and invert it there, which
 is how flattening ranks its Schur complement.
 
+rank_mod, det_mod and det_mod_rows share one elimination kernel on plain
+int rows, _echelon_mod, which reduces lazily: a column is reduced mod the
+prime only to pick its pivot (the first row with a nonzero residue), the
+pivot row only once it is chosen, and every other update is a bare
+row_i[j] -= f * y with f, y in [0, prime).  Entries stay congruent to the
+residues an eagerly reducing elimination holds, so the pivots and row swaps
+are the same ones and the results identical; an entry grows by less than
+prime^2 per pivot, so it stays below about ncols * 2^122 plus its input
+size.  det_mod_rows takes rows directly, so the key-lemma stage evaluators
+build their residue grids without an ExactMatrix.
+
 Also provides the two classical determinant identities used throughout:
 
   schur_block_det    det [[X,Y],[Z,W]] = det(X) det(W - Z X^-1 Y)
   det_rank_update    det(A + U V^t)   = det(A) det(Id + V^t A^-1 U)
 
 All values are immutable; every function is pure and safe to call from
-multiple threads.
+multiple threads, except det_mod_rows, which eliminates the rows it is given
+in place.
 """
 
 from __future__ import annotations
@@ -244,45 +256,45 @@ def rank_exact(m: ExactMatrix) -> int:
     return _bareiss(_integer_grid(m)[0], m.cols, stop_at_gap=False)[0]
 
 
-def _echelon_mod(m: ExactMatrix, prime: int, stop_at_gap: bool) -> tuple[int, int]:
-    """Row echelon of the row-scaled integer copy of m over GF(prime).
+def _echelon_mod(a: list[list[int]], ncols: int, prime: int, stop_at_gap: bool) -> tuple[int, int]:
+    """Row echelon over GF(prime) of a grid of integer rows, in place.
 
     Returns (rank, det): det is the signed product of the pivots mod prime,
-    which for square m is det(grid) mod prime, and 0 once a column has no
-    pivot.  With stop_at_gap the elimination ends at that column, which is
-    all a determinant needs.
+    which for a square grid is det(grid) mod prime, and 0 once a column has
+    no pivot.  With stop_at_gap the elimination ends at that column, which
+    is all a determinant needs.  Reduction is lazy (see the module
+    docstring): only pivot columns and the chosen pivot row are reduced.
     """
-    nrows, ncols = m.shape
-    grid, _ = _integer_grid(m)
-    a = [[x % prime for x in row] for row in grid]
+    nrows = len(a)
     r = 0
     det = 1
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c]), -1)
+        column = [a[i][c] % prime for i in range(r, nrows)]
+        piv = next((k for k, v in enumerate(column) if v), -1)
         if piv < 0:
             det = 0
             if stop_at_gap:
                 break
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
+        if piv:
+            a[r], a[r + piv] = a[r + piv], a[r]
+            column[0], column[piv] = column[piv], column[0]
             det = -det
         row_r = a[r]
-        det = det * row_r[c] % prime
-        inv = pow(row_r[c], -1, prime)
-        # flattenings are sparse: update only rows with a nonzero in column c,
-        # and in them only the columns where the pivot row is nonzero (column
-        # c itself is never read again)
-        tail = [(j, row_r[j]) for j in range(c + 1, ncols) if row_r[j]]
-        for i in range(r + 1, nrows):
-            row_i = a[i]
-            aic = row_i[c]
-            if aic:
-                f = aic * inv % prime
+        det = det * column[0] % prime
+        inv = pow(column[0], -1, prime)
+        # flattenings are sparse: update only rows with a nonzero residue in
+        # column c, and in them only the columns where the pivot row's
+        # residue is nonzero (column c itself is never read again)
+        tail = [(j, y) for j in range(c + 1, ncols) if (y := row_r[j] % prime)]
+        for k in range(1, len(column)):
+            if column[k]:
+                f = column[k] * inv % prime
+                row_i = a[r + k]
                 for j, y in tail:
-                    row_i[j] = (row_i[j] - f * y) % prime
+                    row_i[j] -= f * y
         r += 1
     return r, det
 
@@ -295,7 +307,7 @@ def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _echelon_mod(m, prime, stop_at_gap=False)[0]
+    return _echelon_mod(_integer_grid(m)[0], m.cols, prime, stop_at_gap=False)[0]
 
 
 def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
@@ -308,9 +320,16 @@ def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
     """
     if not m.is_square:
         raise ValueError("determinant of non-square matrix")
-    if m.rows == 0:
-        return 1 % prime
-    return _echelon_mod(m, prime, stop_at_gap=True)[1]
+    return det_mod_rows(_integer_grid(m)[0], prime)
+
+
+def det_mod_rows(rows: list[list[int]], prime: int = RANK_PRIME) -> int:
+    """det of a square grid of integer rows, reduced into [0, prime).
+
+    The entry point for callers that already hold residues or integers as
+    plain lists, so no ExactMatrix is built; the rows are eliminated in place.
+    """
+    return _echelon_mod(rows, len(rows), prime, stop_at_gap=True)[1]
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -324,8 +343,9 @@ def invert(m: ExactMatrix) -> ExactMatrix:
         if piv < 0:
             raise ValueError("matrix is singular")
         a[c], a[piv] = a[piv], a[c]
-        inv_p = Fraction(1) / a[c][c]  # 1 / int would be a float
-        a[c] = [x * inv_p for x in a[c]]
+        if a[c][c] != 1:  # a unit pivot keeps integer rows integral
+            inv_p = Fraction(1) / a[c][c]  # 1 / int would be a float
+            a[c] = [x * inv_p for x in a[c]]
         for i in range(n):
             if i != c and a[i][c] != 0:
                 f = a[i][c]

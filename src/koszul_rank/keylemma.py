@@ -8,9 +8,23 @@ kills the polynomial, so every monomial uses all remaining variables and the
 support size is bounded by the degree.  Sampling ranges scale with
 2^20 * degree so a false "identically zero" verdict is astronomically
 unlikely.  The pipeline's stage evaluators return determinants mod
-RANK_PRIME = 2^61 - 1 (exact_linalg.det_mod), so an accepted step is
-witnessed by a nonzero residue, which proves the integer value nonzero; a
-zero residue only rejects that sample and the search draws again.
+RANK_PRIME = 2^61 - 1, so an accepted step is witnessed by a nonzero
+residue, which proves the integer value nonzero; a zero residue only rejects
+that sample and the search draws again.
+
+The evaluators work on residues throughout.  Once per pipeline run the basis
+entries, adj(alpha^0) and each fixed (normalized) slice are reduced mod
+RANK_PRIME, and the stage-1 auxiliary matrix is held as int rows; an
+evaluation then builds its stage matrix M as plain int rows mod the prime
+(products, commutators, the stage-3 grid) and hands them to
+exact_linalg.det_mod_rows, the lazy-reduction elimination kernel.
+For an integer basis M is an integer matrix and det(M mod p) = det(M) mod p,
+so every residue is the one det_mod(M) would give and the search takes the
+same path.  A rational basis needs every denominator prime to RANK_PRIME,
+where the residues exist and vanish exactly when det_mod of the row-scaled
+matrix does; key_lemma_search rejects any other basis at stage P0.  Stage 3
+takes the commutators among the fixed v_1 .. v_{2p-1} once, so an
+evaluation computes only the 2p - 1 commutators [v_i, v_2p].
 
 key_lemma_search chains four such searches (pipeline for p in {1, 2}):
 
@@ -33,6 +47,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .exact_linalg import (
@@ -42,12 +57,19 @@ from .exact_linalg import (
     child_seed,
     commutator,
     det_exact,
-    det_mod,
+    det_mod_rows,
     invert,
     rank_exact,
     rank_mod,
+    reduce_mod,
 )
-from .flattening import assemble, commutator_matrix, commutator_pattern, normalize_pivot
+from .flattening import (
+    BlockLabel,
+    SymbolicBlockMatrix,
+    commutator_matrix,
+    commutator_pattern,
+    normalize_pivot,
+)
 from .tensor_core import SliceFamily
 
 
@@ -190,18 +212,18 @@ def _basis_entries(basis: Sequence[ExactMatrix]) -> list[tuple[tuple[int, int, E
     ]
 
 
-def _matrix_from_entries(coords: Sequence, entries: Sequence, n: int) -> ExactMatrix:
-    """sum_k coords[k] * basis[k], touching only the listed nonzero entries."""
+def _grid_from_entries(coords: Sequence, entries: Sequence, n: int) -> list[list]:
+    """Rows of sum_k coords[k] * basis[k], touching only the listed nonzero entries."""
     grid = [[0] * n for _ in range(n)]
     for x, cells in zip(coords, entries):
         if x:
             for i, j, v in cells:
                 grid[i][j] += x * v
-    return ExactMatrix(grid)
+    return grid
 
 
 def _matrix_from_coords(coords: Sequence, basis: Sequence[ExactMatrix], n: int) -> ExactMatrix:
-    return _matrix_from_entries(coords, _basis_entries(basis), n)
+    return ExactMatrix(_grid_from_entries(coords, _basis_entries(basis), n))
 
 
 @dataclass(frozen=True)
@@ -396,25 +418,81 @@ def key_lemma_search(
     # rank needs the exact (n^6) elimination to decide
     if rank_mod(stacked) != n * n and rank_exact(stacked) != n * n:
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
+    residues = [reduce_mod(b) for b in basis]
+    if any(r is None for r in residues):
+        raise KeyLemmaStageError("stage P0: a basis denominator is divisible by RANK_PRIME")
 
     failures = []
     for attempt in range(_ATTEMPTS):
         try:
-            return _run_pipeline(n, p, basis, seed, attempt)
+            return _run_pipeline(n, p, basis, residues, seed, attempt)
         except KeyLemmaStageError as exc:
             failures.append(f"attempt {attempt}: {exc}")
     raise KeyLemmaStageError(f"all {_ATTEMPTS} attempts failed: " + "; ".join(failures))
 
 
+def _mul_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer grids, entries reduced into [0, RANK_PRIME)."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) % RANK_PRIME for col in cols] for row in x]
+
+
+def _commutator_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """[X, Y] = XY - YX of two square integer grids, entries in [0, RANK_PRIME)."""
+    x_cols, y_cols = list(zip(*x)), list(zip(*y))
+    return [
+        [
+            (sum(map(mul, x_row, y_col)) - sum(map(mul, y_row, x_col))) % RANK_PRIME
+            for x_col, y_col in zip(x_cols, y_cols)
+        ]
+        for x_row, y_row in zip(x, y)
+    ]
+
+
+def _grid_rows(pattern: SymbolicBlockMatrix, commutators: dict, n: int) -> list[list[int]]:
+    """Integer rows of a commutator grid, given the rows of [X_i, X_j] per pair."""
+    zero = [[0] * n for _ in range(n)]
+    blocks: dict[BlockLabel, list[list[int]]] = {}
+
+    def block(label: BlockLabel) -> list[list[int]]:
+        if label.is_zero:
+            return zero
+        rows = blocks.get(label)
+        if rows is None:
+            rows = commutators[label.pair]
+            if label.sign < 0:
+                rows = [[-v for v in row] for row in rows]
+            blocks[label] = rows
+        return rows
+
+    out = []
+    for labels in pattern.labels:
+        cells = [block(label) for label in labels]
+        for i in range(n):
+            out.append([v for cell in cells for v in cell[i]])
+    return out
+
+
 def _run_pipeline(
-    n: int, p: int, basis: Sequence[ExactMatrix], seed: int, attempt: int
+    n: int,
+    p: int,
+    basis: Sequence[ExactMatrix],
+    residues: Sequence[ExactMatrix],
+    seed: int,
+    attempt: int,
 ) -> KeyLemmaWitness:
+    """One attempt of the staged search; residues is the basis mod RANK_PRIME."""
     arity = n * n
     budgets = _stage_budgets(n, p)
     entries = _basis_entries(basis)
+    entries_mod = _basis_entries(residues)
 
     def build(coords: Sequence) -> ExactMatrix:
-        return _matrix_from_entries(coords, entries, n)
+        return ExactMatrix(_grid_from_entries(coords, entries, n))
+
+    def build_mod(coords: Sequence) -> list[list[int]]:
+        """Integer rows congruent to build(coords) mod RANK_PRIME."""
+        return _grid_from_entries(coords, entries_mod, n)
 
     def run_stage(stage: int, poly: PolynomialEvaluator) -> SupportWitness:
         """Search, stopping at the stage budget, then shrink the witness point."""
@@ -425,30 +503,39 @@ def _run_pipeline(
         except KeyLemmaStageError as exc:
             raise KeyLemmaStageError(f"stage P{stage}: {exc}") from None
 
-    # every stage evaluator below returns a det_mod residue: nonzero proves
-    # the determinant nonzero, and a zero only rejects the sample
+    # every stage evaluator below returns det(M mod RANK_PRIME) of its stage
+    # matrix M, built from residues: nonzero proves det(M) nonzero, and a
+    # zero only rejects the sample
 
     # stage 0: the determinant itself
-    w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod(build(x))))
+    w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(build_mod(x))))
     alpha0 = build(w0.point)
-    adj0 = invert(alpha0) * det_exact(alpha0)  # integral for integral alpha0
+    # adj(alpha^0) is integral for integral alpha0; otherwise its denominators
+    # are products of basis denominators, prime to RANK_PRIME (stage P0), so
+    # the residue exists
+    adj0 = [list(row) for row in reduce_mod(invert(alpha0) * det_exact(alpha0))]
 
-    def normalized(coords: Sequence) -> ExactMatrix:
-        return adj0 * build(coords)
+    def normalized(coords: Sequence) -> list[list[int]]:
+        return _mul_mod(adj0, build_mod(coords))
 
     # stage 1: middle slices v_2 .. v_{2p-1}
     middles = list(range(2, 2 * p))
     fixed: dict[int, ExactMatrix] = {}
+    fixed_mod: dict[int, list[list[int]]] = {}  # adj0 * fixed[i], mod RANK_PRIME
     if p == 1:
         # no middle slices exist; fix v_2 = v_2p here against a seeded
         # auxiliary matrix so the stage budget n * binom(2,2) = n is used
         rng_aux = random.Random(child_seed(seed, attempt, 0xA0))
-        aux = ExactMatrix([[rng_aux.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        aux = [[rng_aux.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         w1 = run_stage(
-            1, PolynomialEvaluator(arity, n, lambda x: det_mod(commutator(aux, normalized(x))))
+            1,
+            PolynomialEvaluator(
+                arity, n, lambda x: det_mod_rows(_commutator_mod(aux, normalized(x)))
+            ),
         )
         support1 = w1.support
         fixed[2] = build(w1.point)
+        fixed_mod[2] = normalized(w1.point)
     else:
         pairs = _middle_pairs(p)
         slot_of = {m: s for s, m in enumerate(middles)}
@@ -460,7 +547,7 @@ def _run_pipeline(
             }
             value = 1
             for a, b in pairs:
-                value = value * det_mod(commutator(mats[a], mats[b])) % RANK_PRIME
+                value = value * det_mod_rows(_commutator_mod(mats[a], mats[b])) % RANK_PRIME
                 if value == 0:
                     break
             return value
@@ -471,31 +558,43 @@ def _run_pipeline(
             used.add(var % arity)
         support1 = tuple(sorted(used))
         for m in middles:
-            fixed[m] = build(w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity])
+            coords = w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity]
+            fixed[m] = build(coords)
+            fixed_mod[m] = normalized(coords)
 
     # stage 2: v_1 against the fixed v_2
-    x2_normalized = adj0 * fixed[2]
     w2 = run_stage(
-        2, PolynomialEvaluator(arity, n, lambda x: det_mod(commutator(normalized(x), x2_normalized)))
+        2,
+        PolynomialEvaluator(
+            arity, n, lambda x: det_mod_rows(_commutator_mod(normalized(x), fixed_mod[2]))
+        ),
     )
     fixed[1] = build(w2.point)
+    fixed_mod[1] = normalized(w2.point)
 
-    # stage 3: the last slice v_2p through the full commutator grid
+    # stage 3: the last slice v_2p through the full commutator grid.  The
+    # commutators among v_1 .. v_{2p-1} do not move with the sample, so they
+    # are taken once; an evaluation computes only [v_i, v_2p] for i < 2p
     if p == 1:
         support3: tuple[int, ...] = ()
     else:
+        last = 2 * p
         pattern = commutator_pattern(p)
-        others = {i: adj0 * fixed[i] for i in range(1, 2 * p)}
-        identity = ExactMatrix.identity(n)
+        commutators = {
+            (i, j): _commutator_mod(fixed_mod[i], fixed_mod[j])
+            for i in range(1, last)
+            for j in range(i + 1, last)
+        }
 
         def eval_stage3(x: Sequence) -> int:
-            xs = [identity] + [others[i] for i in range(1, 2 * p)] + [normalized(x)]
-            family = SliceFamily(p, n, n, tuple(xs))
-            return det_mod(assemble(pattern, family))
+            x_last = normalized(x)
+            for i in range(1, last):
+                commutators[i, last] = _commutator_mod(fixed_mod[i], x_last)
+            return det_mod_rows(_grid_rows(pattern, commutators, n))
 
         w3 = run_stage(3, PolynomialEvaluator(arity, budgets[3], eval_stage3))
         support3 = w3.support
-        fixed[2 * p] = build(w3.point)
+        fixed[last] = build(w3.point)
 
     alphas = (alpha0,) + tuple(fixed[i] for i in range(1, 2 * p + 1))
     stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in alphas])

@@ -188,6 +188,36 @@ def test_keylemma_golden_output(capsys, n, p):
     assert hashlib.sha256(out.encode()).hexdigest() == KEYLEMMA_GOLDEN[n, p]
 
 
+# sha256 of keylemma and certify stdout, frozen before the key-lemma stage
+# evaluators moved to residue rows and the modular elimination to lazy
+# reduction: these keylemma runs reach long stage-3 searches, and the
+# certify runs go through rank_mod
+SEEDED_GOLDEN = {
+    ("keylemma", "--n", "8", "--p", "2", "--seed", "5"): (
+        "47ebd080211abc3116abd761b0359a1ea0577f2f70da938ef10e17d7f2c590dc"
+    ),
+    ("keylemma", "--n", "7", "--p", "2", "--seed", "3"): (
+        "3937a959fdbccfa348bcd22484ba9f6247978b3c89925cf639a2f32d4f5a6777"
+    ),
+    ("keylemma", "--n", "8", "--p", "1", "--seed", "9"): (
+        "806ce943fd0202fe126d7e8e21fbc16bce24cb178ff3ce382d070cbd5a52dbcb"
+    ),
+    ("certify", "--matmul", "3,3,3", "--p", "3", "--seed", "0"): (
+        "1a39c764c7cafde54a5bd84265066850bfe43de42127ffb9f2d2958cf08d5938"
+    ),
+    ("certify", "--matmul", "5,5,5", "--p", "2", "--seed", "0"): (
+        "171cba2e924d11651ee2d802abc53b2e9036787e3533840d548b38221fbe8a3b"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEEDED_GOLDEN))
+def test_seeded_golden_output(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_GOLDEN[argv]
+
+
 # sha256 of the printed symbolic grids, frozen before the flattening and
 # commutator grids were built from their nonzero blocks only
 FLATTEN_GOLDEN = {

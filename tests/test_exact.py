@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from koszul_rank.exact_linalg import (
     commutator,
     det_exact,
     det_mod,
+    det_mod_rows,
     det_rank_update,
     invert,
     invert_mod,
@@ -213,6 +215,63 @@ def test_det_mod_shapes():
         det_mod(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
+# -- the lazy-reduction elimination kernel ----------------------------------------
+
+KERNEL_PRIMES = st.sampled_from([2, 3, 5, 7, RANK_PRIME])
+HUGE = st.integers(2**200, 2**202) | st.integers(-(2**202), -(2**200))
+
+
+@st.composite
+def kernel_grids(draw):
+    """(prime, integer rows): negative, >= 2^200 and multiple-of-prime entries.
+
+    The first rows of column 0 are often forced to nonzero multiples of the
+    prime, so a pivot chosen on raw values instead of residues lands on a zero
+    residue; products of thin grids make rank drops common.
+    """
+    prime = draw(KERNEL_PRIMES)
+    multiples = st.integers(1, 2**70).map(lambda k: k * prime) | st.integers(
+        -(2**70), -1
+    ).map(lambda k: k * prime)
+    values = st.integers(-9, 9) | HUGE | multiples
+    rows, cols, inner = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(values, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    a = grid(rows, cols)
+    if inner < min(rows, cols):
+        b, c = grid(rows, inner), grid(inner, cols)
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+    for i in range(draw(st.integers(0, rows - 1))):
+        a[i][0] = draw(multiples)
+    return prime, a
+
+
+def rank_mod_by_minors(rows, prime):
+    """The largest k with a k x k minor (gauss_det) nonzero mod prime."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for picked_rows in combinations(rows, k):
+            for cols in combinations(range(len(rows[0])), k):
+                if gauss_det([[row[j] for j in cols] for row in picked_rows]) % prime:
+                    return k
+    return 0
+
+
+@PROPERTY
+@given(kernel_grids())
+def test_modular_kernel_matches_the_oracles_reduced_mod_the_prime(case):
+    prime, rows = case
+    m = ExactMatrix(rows)
+    rank = rank_mod(m, prime)
+    assert rank == rank_mod_by_minors(rows, prime)
+    assert rank <= gauss_rank(rows)
+    if m.is_square:
+        expected = gauss_det(rows) % prime
+        assert det_mod(m, prime) == expected
+        assert det_mod_rows([list(row) for row in rows], prime) == expected
+
+
 # -- inverse modulo a prime ------------------------------------------------------
 
 
@@ -270,6 +329,14 @@ def test_invert_integer_matrix_is_exact():
     assert all(isinstance(x, (int, Fraction)) for row in inv for x in row)
     assert inv[1, 1] == Fraction(1, 4)
     assert m * inv == ExactMatrix.identity(3)
+
+
+def test_invert_permutation_matrix_is_its_transpose_with_int_entries():
+    for perm in permutations(range(4)):
+        m = ExactMatrix([[int(perm[i] == j) for j in range(4)] for i in range(4)])
+        inv = invert(m)
+        assert inv == m.transpose()
+        assert all(type(x) is int for row in inv for x in row)
 
 
 def test_equality_and_hash_ignore_entry_type():

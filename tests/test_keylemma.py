@@ -6,7 +6,16 @@ from math import comb
 
 import pytest
 
-from koszul_rank.exact_linalg import RANK_PRIME, ExactMatrix, commutator, det_exact
+from koszul_rank.exact_linalg import (
+    RANK_PRIME,
+    ExactMatrix,
+    child_seed,
+    commutator,
+    det_exact,
+    det_mod,
+    invert,
+)
+from koszul_rank.flattening import assemble, commutator_pattern
 from koszul_rank.keylemma import (
     KeyLemmaStageError,
     PolynomialEvaluator,
@@ -22,6 +31,7 @@ from koszul_rank.keylemma import (
 )
 from koszul_rank import keylemma
 from koszul_rank.keylemma import _matrix_from_coords
+from koszul_rank.tensor_core import SliceFamily
 
 
 def det_evaluator(n):
@@ -194,7 +204,7 @@ def test_basis_span_check_is_modular_first(monkeypatch):
 
 def test_key_lemma_failure_names_every_attempt(monkeypatch):
     # every residue reads zero, so stage P0 rejects every sample of every attempt
-    monkeypatch.setattr(keylemma, "det_mod", lambda m: 0)
+    monkeypatch.setattr(keylemma, "det_mod_rows", lambda rows: 0)
     with pytest.raises(KeyLemmaStageError) as info:
         key_lemma_search(3, 1, seed=0)
     message = str(info.value)
@@ -203,6 +213,129 @@ def test_key_lemma_failure_names_every_attempt(monkeypatch):
     assert len(entries) == 5
     for attempt, entry in enumerate(entries):
         assert entry.startswith(f"attempt {attempt}: stage P0: ")
+
+
+def test_basis_with_a_denominator_divisible_by_the_prime_is_rejected_before_any_stage(
+    monkeypatch,
+):
+    # such a basis has no residues mod the prime, so no stage can evaluate
+    stages = []
+    monkeypatch.setattr(keylemma, "support_restriction_search", lambda *a, **k: stages.append(a))
+    basis = elementary_basis(3)
+    basis[4] = basis[4] * Fraction(2, RANK_PRIME)
+    with pytest.raises(KeyLemmaStageError, match="stage P0: .*denominator"):
+        key_lemma_search(3, 1, basis=basis, seed=0)
+    assert stages == []
+
+
+def test_rational_basis_with_denominators_prime_to_the_prime_validates():
+    basis = elementary_basis(3)
+    basis[0] = basis[0] * Fraction(1, 3)
+    basis[4] = basis[4] + basis[5] * Fraction(2, 5)
+    witness = key_lemma_search(3, 1, basis=basis, seed=0)
+    validate_witness(witness, basis)
+
+
+def run_capturing_stages(monkeypatch, n, p, basis, seed):
+    """Run key_lemma_search; return each stage's evaluator and shrunken point."""
+    polys, points = [], []
+    search, shrink = keylemma.support_restriction_search, keylemma.shrink_witness
+
+    def spy_search(poly, *args, **kwargs):
+        polys.append(poly)
+        return search(poly, *args, **kwargs)
+
+    def spy_shrink(poly, witness, *args, **kwargs):
+        found = shrink(poly, witness, *args, **kwargs)
+        points.append(found.point)
+        return found
+
+    monkeypatch.setattr(keylemma, "support_restriction_search", spy_search)
+    monkeypatch.setattr(keylemma, "shrink_witness", spy_shrink)
+    key_lemma_search(n, p, basis=basis, seed=seed)
+    assert len(polys) == len(points) == (3 if p == 1 else 4)  # attempt 0 succeeded
+    return polys, points
+
+
+def exact_stage_evaluators(n, p, basis, points, seed):
+    """det_mod of each stage's ExactMatrix expression, with attempt 0's fixed slices."""
+    arity = n * n
+
+    def build(x):
+        return _matrix_from_coords(x, basis, n)
+
+    alpha0 = build(points[0])
+    adj0 = invert(alpha0) * det_exact(alpha0)
+
+    def normalized(x):
+        return adj0 * build(x)
+
+    if p == 1:
+        rng = random.Random(child_seed(seed, 0, 0xA0))
+        aux = ExactMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        fixed = {2: build(points[1])}
+    else:
+        fixed = {m: build(points[1][(m - 2) * arity : (m - 1) * arity]) for m in range(2, 2 * p)}
+    fixed[1] = build(points[2])
+
+    def stage1(x):
+        if p == 1:
+            return det_mod(commutator(aux, normalized(x)))
+        value = 1
+        for a, b in keylemma._middle_pairs(p):
+            left = normalized(x[(a - 2) * arity : (a - 1) * arity])
+            right = normalized(x[(b - 2) * arity : (b - 1) * arity])
+            value = value * det_mod(commutator(left, right)) % RANK_PRIME
+        return value
+
+    def stage3(x):
+        slices = [ExactMatrix.identity(n)] + [adj0 * fixed[i] for i in range(1, 2 * p)]
+        family = SliceFamily(p, n, n, tuple(slices + [normalized(x)]))
+        return det_mod(assemble(commutator_pattern(p), family))
+
+    return [
+        lambda x: det_mod(build(x)),
+        stage1,
+        lambda x: det_mod(commutator(normalized(x), adj0 * fixed[2])),
+        stage3,
+    ]
+
+
+def random_integer_basis(n, rng):
+    while True:
+        basis = [
+            ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            for _ in range(n * n)
+        ]
+        stacked = ExactMatrix([[x for row in b for x in row] for b in basis])
+        if det_exact(stacked) != 0:
+            return basis
+
+
+@pytest.mark.parametrize("n, p, random_basis", [(3, 1, False), (4, 1, True), (4, 2, False), (4, 2, True)])
+def test_stage_evaluators_equal_det_mod_of_the_exact_expressions(monkeypatch, n, p, random_basis):
+    rng = random.Random(97 + n + p)
+    basis = random_integer_basis(n, rng) if random_basis else elementary_basis(n)
+    polys, points = run_capturing_stages(monkeypatch, n, p, basis, seed=3)
+    expected = exact_stage_evaluators(n, p, basis, points, seed=3)
+    for stage, poly in enumerate(polys):
+        samples = [[0] * poly.arity, list(points[stage])]
+        for _ in range(6):
+            span = rng.choice((9, 2**40))
+            samples.append([rng.choice((0, rng.randint(-span, span))) for _ in range(poly.arity)])
+        for x in samples:
+            assert poly.evaluate(x) == expected[stage](x), f"stage {stage} at {x}"
+
+
+def test_stage3_recomputes_only_the_commutators_with_the_last_slice(monkeypatch):
+    polys, points = run_capturing_stages(monkeypatch, 4, 2, elementary_basis(4), seed=0)
+    x = list(points[3])
+    value = polys[3].evaluate(x)
+    calls = []
+    real = keylemma._commutator_mod
+    monkeypatch.setattr(keylemma, "_commutator_mod", lambda a, b: calls.append(1) or real(a, b))
+    assert polys[3].evaluate(x) == value != 0
+    assert len(calls) == 2 * 2 - 1  # [X_i, X_4] for i = 1, 2, 3 out of 6 pairs
 
 
 def test_validate_witness_catches_tampering():
