@@ -9,6 +9,15 @@ fraction-free (Bareiss) elimination on an integer-scaled copy of the matrix,
 which keeps intermediate entries polynomially sized instead of letting
 rational numerators blow up.
 
+The one Bareiss kernel, _bareiss, skips the updates that leave an entry
+unchanged.  Every entry it holds after a pivot step is a minor of its input
+(Sylvester's identity), so a skipped update is the identity, and every
+intermediate entry, pivot, rank and signed determinant is what the dense
+update gives.  Rows with a zero in the pivot column stay untouched while the
+pivot repeats, entries off the pivot row's nonzero tail only scale, and a
+run of equal pivots +-1 (the X_0 = Id blocks of a flattening) needs no
+division; its docstring lists the rules.
+
 Beside Bareiss, rank_mod and det_mod row-echelon the same integer-scaled copy
 over GF(RANK_PRIME), RANK_PRIME = 2^61 - 1, with modular inverses.  Both are
 sound in one direction only.  rank_mod never exceeds the exact rank, so it
@@ -200,14 +209,28 @@ def _bareiss(a: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, in
     which for a square grid is det(grid), and 0 once a column has no pivot.
     With stop_at_gap the elimination ends at that column, which is all a
     determinant needs.  Pivots are the entries of least absolute value.
+
+    The step at pivot prc (row r, column c; previous pivot prev) maps each
+    entry x of a lower row to (x * prc - aic * y) / prev, where aic is the
+    row's entry in column c and y the pivot row's in column j.  Every entry
+    it produces is a minor of the input (Sylvester's identity), so an update
+    that would return x itself may be skipped without changing any result.
+    Only the pivot row's nonzero tail (the j > c with y != 0) is listed, and:
+
+      aic == 0, prc == prev     the row is left untouched
+      aic == 0, prc != prev     only its nonzero entries scale by prc / prev
+      aic != 0                  the tail gets the full update; off the tail
+                                y == 0, so nonzero entries only scale, and
+                                only when prc != prev
+      prc == prev == +-1        the tail update is x - aic * y * prev
+
+    Each division still performed is checked to be exact.
     """
     nrows = len(a)
     r = 0
     sign = 1
     prev = 1
     for c in range(ncols):
-        if r == nrows:
-            break
         piv, best = -1, None
         for i in range(r, nrows):
             v = a[i][c]
@@ -223,19 +246,45 @@ def _bareiss(a: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, in
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        prc = a[r][c]
         row_r = a[r]
-        for i in range(r + 1, nrows):
+        prc = row_r[c]
+        r += 1
+        if r == nrows:  # no row below the last pivot
+            prev = prc
+            break
+        tail = [j for j in range(c + 1, ncols) if row_r[j]]
+        scaled = prc != prev
+        off_tail = ()
+        if scaled and len(tail) < ncols - c - 1:
+            off_tail = [j for j in range(c + 1, ncols) if not row_r[j]]
+        unit = not scaled and (prc == 1 or prc == -1)
+        for i in range(r, nrows):
             row_i = a[i]
             aic = row_i[c]
-            for j in range(c + 1, ncols):
-                quotient, remainder = divmod(row_i[j] * prc - aic * row_r[j], prev)
-                if remainder:  # the fraction-free update divides exactly; anything else is a bug
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                row_i[j] = quotient
-            row_i[c] = 0
+            if aic:
+                row_i[c] = 0
+                if unit:
+                    f = aic * prev
+                    for j in tail:
+                        row_i[j] -= f * row_r[j]
+                    continue
+                for j in tail:
+                    quotient, remainder = divmod(row_i[j] * prc - aic * row_r[j], prev)
+                    if remainder:  # the fraction-free update divides exactly; anything else is a bug
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                    row_i[j] = quotient
+                columns = off_tail
+            elif scaled:
+                columns = range(c + 1, ncols)
+            else:
+                continue
+            for j in columns:
+                if x := row_i[j]:
+                    quotient, remainder = divmod(x * prc, prev)
+                    if remainder:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                    row_i[j] = quotient
         prev = prc
-        r += 1
     return r, sign * prev
 
 
@@ -438,10 +487,14 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -9, hi
 
 
 def random_invertible(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> ExactMatrix:
-    """Random integer matrix, resampled until nonsingular."""
+    """Random integer matrix, resampled until nonsingular.
+
+    A nonzero det_mod proves the sample nonsingular; only a zero residue
+    needs det_exact to decide, so the samples kept are the same.
+    """
     while True:
         m = random_int_matrix(rng, n, n, lo, hi)
-        if det_exact(m) != 0:
+        if det_mod(m) or det_exact(m) != 0:
             return m
 
 

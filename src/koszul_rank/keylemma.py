@@ -331,6 +331,15 @@ def _stage_budgets(n: int, p: int) -> tuple[int, int, int, int]:
     return n, n * middle, n, n * (middle - math.comb(2 * p - 2, p - 1))
 
 
+def _independent_rows(m: ExactMatrix) -> bool:
+    """Whether the rows of m are linearly independent over Q.
+
+    Full rank mod RANK_PRIME proves full rank over Q; only a short modular
+    rank needs the exact elimination to decide.
+    """
+    return rank_mod(m) == m.rows or rank_exact(m) == m.rows
+
+
 def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
     """Re-check every claim of a witness from scratch; raises ValueError."""
     n, p = witness.n, witness.p
@@ -349,7 +358,7 @@ def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> 
     if len(witness.alphas) != 2 * p + 1:
         raise ValueError("wrong number of alphas")
     stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in witness.alphas])
-    if rank_exact(stacked) != 2 * p + 1:
+    if not _independent_rows(stacked):
         raise ValueError("alphas are linearly dependent")
     alpha0 = witness.alphas[0]
     det0 = det_exact(alpha0)
@@ -414,9 +423,7 @@ def key_lemma_search(
     if len(basis) != n * n:
         raise KeyLemmaStageError("stage P0: basis must have n^2 elements")
     stacked = ExactMatrix([[b[i, j] for i in range(n) for j in range(n)] for b in basis])
-    # full rank mod the prime proves full rank over Q; only a short modular
-    # rank needs the exact (n^6) elimination to decide
-    if rank_mod(stacked) != n * n and rank_exact(stacked) != n * n:
+    if not _independent_rows(stacked):
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
     residues = [reduce_mod(b) for b in basis]
     if any(r is None for r in residues):
@@ -598,7 +605,7 @@ def _run_pipeline(
 
     alphas = (alpha0,) + tuple(fixed[i] for i in range(1, 2 * p + 1))
     stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in alphas])
-    if rank_exact(stacked) != 2 * p + 1:
+    if not _independent_rows(stacked):
         raise KeyLemmaStageError("final: alphas are linearly dependent")
     _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas)))
     grid_det = det_exact(numeric)

@@ -218,6 +218,44 @@ def test_seeded_golden_output(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_GOLDEN[argv]
 
 
+# sha256 of verify --format json stdout, frozen before the fraction-free
+# elimination skipped its no-op updates: every determinant these suites
+# compare goes through that kernel
+VERIFY_GOLDEN = {
+    ("--suite", "p2", "--n", "6", "--seed", "0"): (
+        "8ed446ec3414e7778a99e05f795cd04dd7752a72ea91af54520431a7d9ca5768"
+    ),
+    ("--suite", "p2", "--n", "6", "--seed", "7"): (
+        "9f4c320debdd99db35643570ded660398517b48bea419a9ffd913afbb04d6cc8"
+    ),
+    ("--suite", "p2", "--n", "8", "--trials", "10", "--seed", "0"): (
+        "5a9d596922b6c0fdb9ad133cc6aedb24e6b1ed2a59a27ada5d7b1581965933e4"
+    ),
+    ("--suite", "p2", "--n", "8", "--trials", "10", "--seed", "7"): (
+        "ef695de0766b3fbcbb6c9fc74147f6ef0ee8dfe764628eed90df2037d93cc045"
+    ),
+    ("--suite", "strassen", "--n", "8", "--seed", "0"): (
+        "0102a323f04a8282997b977e5bb63600000a75637d3585f194ac0180878501b2"
+    ),
+    ("--suite", "strassen", "--n", "8", "--seed", "7"): (
+        "035ef4a75a64ac3ae9742fd5ffaba351f596bf9ab24cdab62d32afd9dbc7d9ac"
+    ),
+    ("--suite", "detlemmas", "--seed", "0"): (
+        "15033af0714a55166626c1c2a5826b3cfef630194f67e142d53e3089335f1c21"
+    ),
+    ("--suite", "detlemmas", "--seed", "7"): (
+        "dc5a0131f94eac2eb2e157992b6999af74e8f406a414299a87368145dc390608"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+def test_verify_golden_output(capsys, argv):
+    code, out = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
+
+
 # sha256 of the printed symbolic grids, frozen before the flattening and
 # commutator grids were built from their nonzero blocks only
 FLATTEN_GOLDEN = {

@@ -1,5 +1,6 @@
 """Support search, counting, nonvanishing sampling, degree audits, pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -32,6 +33,7 @@ from koszul_rank.keylemma import (
 from koszul_rank import keylemma
 from koszul_rank.keylemma import _matrix_from_coords
 from koszul_rank.tensor_core import SliceFamily
+from oracles import gauss_rank
 
 
 def det_evaluator(n):
@@ -200,6 +202,26 @@ def test_basis_span_check_is_modular_first(monkeypatch):
     witness = key_lemma_search(3, 1, basis=basis, seed=0)
     assert 9 in sides
     validate_witness(witness, basis)
+
+
+def test_alpha_independence_check_is_modular_first(monkeypatch):
+    # rank_mod == 2p + 1 proves the alphas independent; the exact elimination
+    # of their stack runs only when the modular rank comes out short
+    sides = []
+    real = keylemma.rank_exact
+    monkeypatch.setattr(keylemma, "rank_exact", lambda m: sides.append(m.rows) or real(m))
+    witness = key_lemma_search(3, 1, seed=0)
+    validate_witness(witness, elementary_basis(3))
+    assert sides == []
+    # alpha^1 + prime * E_00 is alpha^1 mod the prime, yet independent over Q
+    alphas = witness.alphas[:2] + (witness.alphas[1] + elementary_basis(3)[0] * RANK_PRIME,)
+    stacked = [[a[i, j] for i in range(3) for j in range(3)] for a in alphas]
+    assert gauss_rank(stacked) == 3 and keylemma.rank_mod(ExactMatrix(stacked)) == 2
+    tampered = dataclasses.replace(witness, alphas=alphas)
+    with pytest.raises(ValueError) as info:
+        validate_witness(tampered, elementary_basis(3))
+    assert sides == [3]
+    assert "linearly dependent" not in str(info.value)  # a later check rejects it
 
 
 def test_key_lemma_failure_names_every_attempt(monkeypatch):
