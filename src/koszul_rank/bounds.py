@@ -48,12 +48,15 @@ under two hypotheses,
   (1) RANK_PRIME divides no denominator of the slices, and
   (2) X_0 is invertible over GF(RANK_PRIME),
 
-rank_mod(F') = binom(2p, p) * b + rank_mod(S) exactly, where S is the
-commutator grid (flattening.commutator_pattern) of the slices X_0^-1 X_i
-computed mod RANK_PRIME:
+rank_mod(F') = binom(2p, p) * b + rank(S) exactly, where S is the
+commutator grid (flattening.commutator_pattern) of the slices X_0^-1 X_i,
+built and ranked as int rows over GF(RANK_PRIME):
 
-  * by (1), rank_mod(F') is the rank of the entrywise image of F' in
-    GF(RANK_PRIME), because _integer_grid scales each row by a unit there;
+  * by (1), every slice has an entrywise residue (exact_linalg.reduce_mod),
+    and so has F', block by block.  rank_mod(F') is the rank of that
+    residue: rank_mod scales each row of F' by an integer prime to
+    RANK_PRIME, a unit in GF(RANK_PRIME).  From the slices' residues on,
+    the Schur path works on residues alone;
   * by (2), left-multiplying every block row by X_0^-1 is invertible and
     turns F' into [[Q', 0], [Id, R']]; eliminating with the Id rows leaves
     Id (rank binom(2p, p) * b) beside -(Q' R'), and commutator_pattern checks

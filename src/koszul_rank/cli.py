@@ -54,6 +54,9 @@ MAX_FLATTENING_SIDE = 1000  # comb(2p+1, p) * dimB: certify, flatten --numeric, 
 # 31 is where mr:2 first beats Blaser's bound (crossover --a mr:2 --b blaser)
 MAX_KEYLEMMA_N = 31
 MAX_CROSSOVER_N = 100_000  # crossover --n-max: one exact evaluation per n
+# bounds --p: two table rows per p, each evaluating binomials of about 2p
+# bits, so the run time grows faster than linearly in --p
+MAX_BOUNDS_P = 1000
 
 
 def _input_error(message: str) -> int:
@@ -122,6 +125,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _cmd_bounds(args) -> int:
     if args.n < 1:
         raise SystemExit(_input_error("--n must be >= 1"))
+    if (args.m is not None and args.m < 1) or not 0 <= args.p <= MAX_BOUNDS_P:
+        return _input_error(f"need --m >= 1 and 0 <= --p <= {MAX_BOUNDS_P}")
     rows = []
     skipped = []
     kinds: list[BoundKind] = [BoundKind("strassen"), BoundKind("blaser")]

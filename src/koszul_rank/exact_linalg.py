@@ -18,27 +18,26 @@ pivot repeats, entries off the pivot row's nonzero tail only scale, and a
 run of equal pivots +-1 (the X_0 = Id blocks of a flattening) needs no
 division; its docstring lists the rules.
 
-Beside Bareiss, rank_mod and det_mod row-echelon the same integer-scaled copy
-over GF(RANK_PRIME), RANK_PRIME = 2^61 - 1, with modular inverses.  Both are
-sound in one direction only.  rank_mod never exceeds the exact rank, so it
-may stand in for rank_exact only where a lower rank can only weaken a result
+Beside Bareiss sits the one residue core on plain int rows mod a prime
+(default RANK_PRIME = 2^61 - 1): reduce_mod maps a matrix to its entrywise
+residues, invert_mod, mul_mod and commutator_mod work on the rows, and
+rank_mod_rows and det_mod_rows row-echelon them.  rank_mod and det_mod are
+the ExactMatrix entry points on its integer-scaled copy.  Both are sound in
+one direction only.  rank_mod never exceeds the exact rank, so it may stand
+in for rank_exact only where a lower rank can only weaken a result
 (border-rank certificates), never where it would change a decision
 (independence checks).  A nonzero det_mod proves det != 0, but a zero
 residue proves nothing: it may only reject a sample, never certify a
-vanishing determinant or stand in for a stored exact value.  reduce_mod
-and invert_mod map a matrix into GF(RANK_PRIME) and invert it there, which
-is how flattening ranks its Schur complement.
+vanishing determinant or stand in for a stored exact value.
 
-rank_mod, det_mod and det_mod_rows share one elimination kernel on plain
-int rows, _echelon_mod, which reduces lazily: a column is reduced mod the
-prime only to pick its pivot (the first row with a nonzero residue), the
-pivot row only once it is chosen, and every other update is a bare
-row_i[j] -= f * y with f, y in [0, prime).  Entries stay congruent to the
-residues an eagerly reducing elimination holds, so the pivots and row swaps
-are the same ones and the results identical; an entry grows by less than
-prime^2 per pivot, so it stays below about ncols * 2^122 plus its input
-size.  det_mod_rows takes rows directly, so the key-lemma stage evaluators
-build their residue grids without an ExactMatrix.
+All four eliminate with one kernel, _echelon_mod, which reduces lazily: a
+column is reduced mod the prime only to pick its pivot (the first row with a
+nonzero residue), the pivot row only once it is chosen, and every other
+update is a bare row_i[j] -= f * y with f, y in [0, prime).  Entries stay
+congruent to the residues an eagerly reducing elimination holds, so the
+pivots and row swaps are the same ones and the results identical; an entry
+grows by less than prime^2 per pivot, so it stays below about
+ncols * 2^122 plus its input size.
 
 Also provides the two classical determinant identities used throughout:
 
@@ -46,8 +45,8 @@ Also provides the two classical determinant identities used throughout:
   det_rank_update    det(A + U V^t)   = det(A) det(Id + V^t A^-1 U)
 
 All values are immutable; every function is pure and safe to call from
-multiple threads, except det_mod_rows, which eliminates the rows it is given
-in place.
+multiple threads, except rank_mod_rows and det_mod_rows, which eliminate the
+rows they are given in place.
 """
 
 from __future__ import annotations
@@ -354,9 +353,7 @@ def rank_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
     Never exceeds rank_exact(m): a minor that vanishes over the integers also
     vanishes mod prime, so an unlucky prime can only under-report the rank.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _echelon_mod(_integer_grid(m)[0], m.cols, prime, stop_at_gap=False)[0]
+    return rank_mod_rows(_integer_grid(m)[0], m.cols, prime)
 
 
 def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
@@ -372,13 +369,32 @@ def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
     return det_mod_rows(_integer_grid(m)[0], prime)
 
 
-def det_mod_rows(rows: list[list[int]], prime: int = RANK_PRIME) -> int:
-    """det of a square grid of integer rows, reduced into [0, prime).
+def rank_mod_rows(rows: list[list[int]], ncols: int, prime: int = RANK_PRIME) -> int:
+    """Rank over GF(prime) of integer rows ncols long, eliminated in place."""
+    return _echelon_mod(rows, ncols, prime, stop_at_gap=False)[0]
 
-    The entry point for callers that already hold residues or integers as
-    plain lists, so no ExactMatrix is built; the rows are eliminated in place.
-    """
+
+def det_mod_rows(rows: list[list[int]], prime: int = RANK_PRIME) -> int:
+    """det of a square grid of integer rows, reduced into [0, prime), in place."""
     return _echelon_mod(rows, len(rows), prime, stop_at_gap=True)[1]
+
+
+def mul_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> list[list[int]]:
+    """The product of two integer grids, entries reduced into [0, prime)."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) % prime for col in cols] for row in x]
+
+
+def commutator_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> list[list[int]]:
+    """[X, Y] = XY - YX of two square integer grids, entries in [0, prime)."""
+    x_cols, y_cols = list(zip(*x)), list(zip(*y))
+    return [
+        [
+            (sum(map(mul, x_row, y_col)) - sum(map(mul, y_row, x_col))) % prime
+            for x_col, y_col in zip(x_cols, y_cols)
+        ]
+        for x_row, y_row in zip(x, y)
+    ]
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -402,12 +418,13 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in a])
 
 
-def reduce_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]:
-    """Entrywise image of m in GF(prime), entries in [0, prime).
+def reduce_mod(rows: ExactMatrix | Sequence[Sequence[Entry]], prime: int = RANK_PRIME) -> Optional[list[list[int]]]:
+    """Entrywise image in GF(prime) of an ExactMatrix or list of rows.
 
-    None when prime divides a denominator, where m has no image.
+    Entries of the result lie in [0, prime); None when prime divides a
+    denominator, where the matrix has no image.
     """
-    if any(x.denominator % prime == 0 for row in m for x in row):
+    if any(x.denominator % prime == 0 for row in rows for x in row):
         return None
 
     def residue(x: Entry) -> int:
@@ -415,19 +432,19 @@ def reduce_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]
             return x % prime
         return x.numerator * pow(x.denominator, -1, prime) % prime
 
-    return ExactMatrix([[residue(x) for x in row] for row in m])
+    return [[residue(x) for x in row] for row in rows]
 
 
-def invert_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]:
-    """Inverse over GF(prime) of an integer matrix (Gauss-Jordan).
+def invert_mod(rows: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> Optional[list[list[int]]]:
+    """Inverse over GF(prime) of a square grid of integer rows (Gauss-Jordan).
 
-    Entries of the result lie in [0, prime); None when m is singular mod
-    prime, which an integer matrix of nonzero determinant can still be.
+    Entries of the result lie in [0, prime); None when the grid is singular
+    mod prime, which an integer matrix of nonzero determinant can still be.
     """
-    if not m.is_square:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    a = [[x % prime for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [[x % prime for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), -1)
         if piv < 0:
@@ -439,7 +456,7 @@ def invert_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> Optional[ExactMatrix]
             f = a[i][c]
             if i != c and f:
                 a[i] = [(x - f * y) % prime for x, y in zip(a[i], row_c)]
-    return ExactMatrix([row[n:] for row in a])
+    return [row[n:] for row in a]
 
 
 def schur_block_det(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, w: ExactMatrix) -> Fraction:
@@ -487,14 +504,10 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int, lo: int = -9, hi
 
 
 def random_invertible(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> ExactMatrix:
-    """Random integer matrix, resampled until nonsingular.
-
-    A nonzero det_mod proves the sample nonsingular; only a zero residue
-    needs det_exact to decide, so the samples kept are the same.
-    """
+    """Random integer matrix, resampled until nonsingular."""
     while True:
         m = random_int_matrix(rng, n, n, lo, hi)
-        if det_mod(m) or det_exact(m) != 0:
+        if det_exact(m) != 0:
             return m
 
 

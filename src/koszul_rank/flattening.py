@@ -21,7 +21,9 @@ flattening_rank_mod ranks the flattening over GF(2^61 - 1) on that grid,
 after normalizing X_0 to the identity mod the prime.
 
 Blocks carry three label kinds: zero, +-X_k and +-[X_i, X_j].  Both grids
-are built from their nonzero blocks only.
+are built from their nonzero blocks only: assemble builds an ExactMatrix,
+assemble_mod a commutator grid's int rows mod a prime (for
+flattening_rank_mod and the key lemma's stage 3).
 
 The printed reference patterns for p = 1, 2, 3 are hardcoded below as token
 grids; verify --suite p3 and the tests compare the constructed grids to them.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -38,9 +41,12 @@ from .exact_linalg import (
     RANK_PRIME,
     ExactMatrix,
     commutator,
+    commutator_mod,
     invert,
     invert_mod,
+    mul_mod,
     rank_mod,
+    rank_mod_rows,
     reduce_mod,
 )
 from .tensor_core import SliceFamily
@@ -241,6 +247,21 @@ def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
     return ExactMatrix.from_blocks([[block(label) for label in row] for row in sym.labels])
 
 
+def assemble_mod(pattern: SymbolicBlockMatrix, commutators: dict, n: int, prime: int = RANK_PRIME) -> list[list[int]]:
+    """assemble of a commutator grid as int rows mod prime.
+
+    commutators maps each pair (i, j), i < j, to the n x n rows of [X_i, X_j]
+    with entries in [0, prime); the result is reduce_mod of assemble's.
+    """
+    zero = [[0] * n for _ in range(n)]
+    negated = {pair: [[-v % prime for v in row] for row in rows] for pair, rows in commutators.items()}
+    out = []
+    for labels in pattern.labels:
+        cells = [zero if lab.is_zero else (commutators if lab.sign > 0 else negated)[lab.pair] for lab in labels]
+        out.extend([v for cell in cells for v in cell[i]] for i in range(n))
+    return out
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """The four corners of the flattening grid, validated for shape and content."""
@@ -376,8 +397,9 @@ def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
 
         rank = binom(2p, p) * b + rank(commutator grid of X_0^-1 X_i mod prime),
 
-    a grid binom(2p, p+1) * b wide instead of binom(2p+1, p) * b.  Otherwise
-    the dense flattening is ranked.  Either way the value equals
+    a grid binom(2p, p+1) * b wide instead of binom(2p+1, p) * b, built and
+    ranked as int rows mod prime.  Otherwise the dense flattening is
+    assembled and ranked.  Either way the value equals
     rank_mod(assemble(flattening_pattern(p)[0], slices), prime).
     """
     if slices.b != slices.c:
@@ -388,11 +410,11 @@ def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
     if x0_inv is None:
         sym, _ = flattening_pattern(p)
         return rank_mod(assemble(sym, slices), prime)
-    normalized = (ExactMatrix.identity(n),) + tuple(
-        reduce_mod(x0_inv * x, prime) for x in reduced[1:]
-    )
-    grid = assemble(_schur_grid(p), SliceFamily(p, n, n, normalized))
-    return comb(2 * p, p) * n + rank_mod(grid, prime)
+    xs = [None] + [mul_mod(x0_inv, x, prime) for x in reduced[1:]]
+    pairs = combinations(range(1, 2 * p + 1), 2)
+    commutators = {(i, j): commutator_mod(xs[i], xs[j], prime) for i, j in pairs}
+    rows = assemble_mod(_schur_grid(p), commutators, n, prime)
+    return comb(2 * p, p) * n + rank_mod_rows(rows, len(rows), prime)
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,20 @@ RANK_PRIME = 2^61 - 1, so an accepted step is witnessed by a nonzero
 residue, which proves the integer value nonzero; a zero residue only rejects
 that sample and the search draws again.
 
-The evaluators work on residues throughout.  Once per pipeline run the basis
-entries, adj(alpha^0) and each fixed (normalized) slice are reduced mod
-RANK_PRIME, and the stage-1 auxiliary matrix is held as int rows; an
-evaluation then builds its stage matrix M as plain int rows mod the prime
-(products, commutators, the stage-3 grid) and hands them to
-exact_linalg.det_mod_rows, the lazy-reduction elimination kernel.
-For an integer basis M is an integer matrix and det(M mod p) = det(M) mod p,
-so every residue is the one det_mod(M) would give and the search takes the
-same path.  A rational basis needs every denominator prime to RANK_PRIME,
-where the residues exist and vanish exactly when det_mod of the row-scaled
-matrix does; key_lemma_search rejects any other basis at stage P0.  Stage 3
-takes the commutators among the fixed v_1 .. v_{2p-1} once, so an
-evaluation computes only the 2p - 1 commutators [v_i, v_2p].
+The evaluators work on residues throughout, with the int-row helpers of
+exact_linalg and flattening.assemble_mod for the stage-3 grid.  Once per
+pipeline run the basis entries are reduced mod RANK_PRIME, and adj(alpha^0)
+is taken as det * inverse of alpha^0's residue rows, which stage 0 proved
+nonsingular; reduction mod the prime is a ring homomorphism, so that is the
+residue of the exact adjugate.  An evaluation builds its stage matrix M as
+int rows mod the prime and hands them to det_mod_rows.  For an integer
+basis M is an integer matrix and det(M mod p) = det(M) mod p, so every
+residue is the one det_mod(M) would give and the search takes the same
+path.  A rational basis needs every denominator prime to RANK_PRIME, where
+the residues exist and vanish exactly when det_mod of the row-scaled matrix
+does; key_lemma_search rejects any other basis at stage P0.  Stage 3 takes
+the commutators among the fixed v_1 .. v_{2p-1} once, so an evaluation
+computes only the 2p - 1 commutators [v_i, v_2p].
 
 key_lemma_search chains four such searches (pipeline for p in {1, 2}):
 
@@ -47,7 +48,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .exact_linalg import (
@@ -56,16 +56,18 @@ from .exact_linalg import (
     ExactMatrix,
     child_seed,
     commutator,
+    commutator_mod,
     det_exact,
     det_mod_rows,
     invert,
+    invert_mod,
+    mul_mod,
     rank_exact,
     rank_mod,
     reduce_mod,
 )
 from .flattening import (
-    BlockLabel,
-    SymbolicBlockMatrix,
+    assemble_mod,
     commutator_matrix,
     commutator_pattern,
     normalize_pivot,
@@ -204,10 +206,10 @@ def elementary_basis(n: int) -> list[ExactMatrix]:
     return out
 
 
-def _basis_entries(basis: Sequence[ExactMatrix]) -> list[tuple[tuple[int, int, Entry], ...]]:
-    """Each basis matrix's nonzero entries (i, j, value), listed once."""
+def _basis_entries(basis: Sequence) -> list[tuple[tuple[int, int, Entry], ...]]:
+    """Each basis matrix's (ExactMatrix or rows) nonzero entries (i, j, value), listed once."""
     return [
-        tuple((i, j, v) for i in range(b.rows) for j, v in enumerate(b.row(i)) if v)
+        tuple((i, j, v) for i, row in enumerate(b) for j, v in enumerate(row) if v)
         for b in basis
     ]
 
@@ -314,15 +316,6 @@ class KeyLemmaWitness:
 
     def supports_union(self) -> set[int]:
         return set(self.support0) | set(self.support1) | set(self.support2) | set(self.support3)
-
-
-def _support_of(matrix: ExactMatrix, basis_index: dict) -> set[int]:
-    out = set()
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            if matrix[i, j]:
-                out.add(basis_index[(i, j)])
-    return out
 
 
 def _stage_budgets(n: int, p: int) -> tuple[int, int, int, int]:
@@ -438,53 +431,11 @@ def key_lemma_search(
     raise KeyLemmaStageError(f"all {_ATTEMPTS} attempts failed: " + "; ".join(failures))
 
 
-def _mul_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The product of two integer grids, entries reduced into [0, RANK_PRIME)."""
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) % RANK_PRIME for col in cols] for row in x]
-
-
-def _commutator_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
-    """[X, Y] = XY - YX of two square integer grids, entries in [0, RANK_PRIME)."""
-    x_cols, y_cols = list(zip(*x)), list(zip(*y))
-    return [
-        [
-            (sum(map(mul, x_row, y_col)) - sum(map(mul, y_row, x_col))) % RANK_PRIME
-            for x_col, y_col in zip(x_cols, y_cols)
-        ]
-        for x_row, y_row in zip(x, y)
-    ]
-
-
-def _grid_rows(pattern: SymbolicBlockMatrix, commutators: dict, n: int) -> list[list[int]]:
-    """Integer rows of a commutator grid, given the rows of [X_i, X_j] per pair."""
-    zero = [[0] * n for _ in range(n)]
-    blocks: dict[BlockLabel, list[list[int]]] = {}
-
-    def block(label: BlockLabel) -> list[list[int]]:
-        if label.is_zero:
-            return zero
-        rows = blocks.get(label)
-        if rows is None:
-            rows = commutators[label.pair]
-            if label.sign < 0:
-                rows = [[-v for v in row] for row in rows]
-            blocks[label] = rows
-        return rows
-
-    out = []
-    for labels in pattern.labels:
-        cells = [block(label) for label in labels]
-        for i in range(n):
-            out.append([v for cell in cells for v in cell[i]])
-    return out
-
-
 def _run_pipeline(
     n: int,
     p: int,
     basis: Sequence[ExactMatrix],
-    residues: Sequence[ExactMatrix],
+    residues: Sequence[list[list[int]]],
     seed: int,
     attempt: int,
 ) -> KeyLemmaWitness:
@@ -517,13 +468,14 @@ def _run_pipeline(
     # stage 0: the determinant itself
     w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(build_mod(x))))
     alpha0 = build(w0.point)
-    # adj(alpha^0) is integral for integral alpha0; otherwise its denominators
-    # are products of basis denominators, prime to RANK_PRIME (stage P0), so
-    # the residue exists
-    adj0 = [list(row) for row in reduce_mod(invert(alpha0) * det_exact(alpha0))]
+    # adj(alpha^0) mod the prime is det * inverse of alpha^0's residue rows;
+    # stage 0 accepted w0 on a nonzero det residue, so the inverse exists
+    rows0 = build_mod(w0.point)
+    det0 = det_mod_rows([list(row) for row in rows0])
+    adj0 = [[det0 * v % RANK_PRIME for v in row] for row in invert_mod(rows0)]
 
     def normalized(coords: Sequence) -> list[list[int]]:
-        return _mul_mod(adj0, build_mod(coords))
+        return mul_mod(adj0, build_mod(coords))
 
     # stage 1: middle slices v_2 .. v_{2p-1}
     middles = list(range(2, 2 * p))
@@ -537,7 +489,7 @@ def _run_pipeline(
         w1 = run_stage(
             1,
             PolynomialEvaluator(
-                arity, n, lambda x: det_mod_rows(_commutator_mod(aux, normalized(x)))
+                arity, n, lambda x: det_mod_rows(commutator_mod(aux, normalized(x)))
             ),
         )
         support1 = w1.support
@@ -554,7 +506,7 @@ def _run_pipeline(
             }
             value = 1
             for a, b in pairs:
-                value = value * det_mod_rows(_commutator_mod(mats[a], mats[b])) % RANK_PRIME
+                value = value * det_mod_rows(commutator_mod(mats[a], mats[b])) % RANK_PRIME
                 if value == 0:
                     break
             return value
@@ -573,7 +525,7 @@ def _run_pipeline(
     w2 = run_stage(
         2,
         PolynomialEvaluator(
-            arity, n, lambda x: det_mod_rows(_commutator_mod(normalized(x), fixed_mod[2]))
+            arity, n, lambda x: det_mod_rows(commutator_mod(normalized(x), fixed_mod[2]))
         ),
     )
     fixed[1] = build(w2.point)
@@ -588,7 +540,7 @@ def _run_pipeline(
         last = 2 * p
         pattern = commutator_pattern(p)
         commutators = {
-            (i, j): _commutator_mod(fixed_mod[i], fixed_mod[j])
+            (i, j): commutator_mod(fixed_mod[i], fixed_mod[j])
             for i in range(1, last)
             for j in range(i + 1, last)
         }
@@ -596,8 +548,8 @@ def _run_pipeline(
         def eval_stage3(x: Sequence) -> int:
             x_last = normalized(x)
             for i in range(1, last):
-                commutators[i, last] = _commutator_mod(fixed_mod[i], x_last)
-            return det_mod_rows(_grid_rows(pattern, commutators, n))
+                commutators[i, last] = commutator_mod(fixed_mod[i], x_last)
+            return det_mod_rows(assemble_mod(pattern, commutators, n))
 
         w3 = run_stage(3, PolynomialEvaluator(arity, budgets[3], eval_stage3))
         support3 = w3.support

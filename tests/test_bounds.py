@@ -248,14 +248,19 @@ def test_certify_ranks_only_the_commutator_grid(monkeypatch):
     # a slide back to the dense flattening (105 x 105 for M_3 at p = 3 after
     # splitting off Id_3, 315 x 315 without) fails here
     shapes = []
-    real = exact_linalg.rank_mod
+    real, real_rows = exact_linalg.rank_mod, exact_linalg.rank_mod_rows
 
     def spy(m, prime=RANK_PRIME):
         shapes.append(m.shape)
         return real(m, prime)
 
+    def spy_rows(rows, ncols, prime=RANK_PRIME):
+        shapes.append((len(rows), ncols))
+        return real_rows(rows, ncols, prime)
+
     for module in (exact_linalg, flattening):
         monkeypatch.setattr(module, "rank_mod", spy)
+        monkeypatch.setattr(module, "rank_mod_rows", spy_rows)
     assert main(["certify", "--matmul", "3,3,3", "--p", "3"]) == 0
     assert shapes and set(shapes) == {(45, 45)}
 

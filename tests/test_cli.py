@@ -6,6 +6,7 @@ import json
 import pytest
 
 from koszul_rank.cli import (
+    MAX_BOUNDS_P,
     MAX_CROSSOVER_N,
     MAX_DIMS_PRODUCT,
     MAX_KEYLEMMA_N,
@@ -55,6 +56,16 @@ def test_bounds_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--n", "0"])
     assert exc.value.code == 2
+
+
+def test_bounds_accepts_p_from_zero_to_the_cap(capsys):
+    code, out = run(capsys, "bounds", "--n", "5", "--p", "0", "--format", "csv")
+    assert code == 0
+    assert {line.split(",")[0] for line in out.splitlines()[1:] if "," in line} == {
+        "strassen", "blaser", "mr_p2_refined", "mr_p3_refined"
+    }
+    code, out = run(capsys, "bounds", "--n", "5", "--p", str(MAX_BOUNDS_P), "--format", "csv")
+    assert code == 0 and f"mr,5,5,{MAX_BOUNDS_P}," in out
 
 
 def test_crossover_values_and_note(capsys):
@@ -301,6 +312,11 @@ def test_flatten_golden_output(capsys, p, commutators):
         ("verify", "--suite", "strassen", "--n", "-1"),
         ("verify", "--suite", "p2", "--n", "1000"),
         ("verify", "--suite", "detlemmas", "--trials", "-1"),
+        ("bounds", "--n", "5", "--m", "-3"),
+        ("bounds", "--n", "5", "--m", "0"),
+        ("bounds", "--n", "5", "--p", "-1"),
+        ("bounds", "--n", "5", "--p", str(MAX_BOUNDS_P + 1)),
+        ("bounds", "--n", "5", "--p", "8000"),
     ],
 )
 def test_bad_or_oversized_input_exits_2(capsys, argv):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koszul_rank import exact_linalg
@@ -15,6 +15,7 @@ from koszul_rank.exact_linalg import (
     RANK_PRIME,
     ExactMatrix,
     commutator,
+    commutator_mod,
     det_exact,
     det_mod,
     det_mod_rows,
@@ -23,10 +24,12 @@ from koszul_rank.exact_linalg import (
     invert_mod,
     matrix_from_json,
     matrix_to_json,
+    mul_mod,
     random_int_matrix,
     random_invertible,
     rank_exact,
     rank_mod,
+    rank_mod_rows,
     reduce_mod,
     schur_block_det,
 )
@@ -269,6 +272,7 @@ def test_modular_kernel_matches_the_oracles_reduced_mod_the_prime(case):
     m = ExactMatrix(rows)
     rank = rank_mod(m, prime)
     assert rank == rank_mod_by_minors(rows, prime)
+    assert rank_mod_rows([list(row) for row in rows], len(rows[0]), prime) == rank
     assert rank <= gauss_rank(rows)
     if m.is_square:
         expected = gauss_det(rows) % prime
@@ -363,35 +367,56 @@ def test_det_of_flattening_with_identity_pivot_slice_matches_oracle(p, n):
 @PROPERTY
 @given(square_matrices(INTEGERS), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
 def test_invert_mod_is_an_inverse_exactly_when_det_mod_is_nonzero(m, prime):
-    inverse = invert_mod(m, prime)
+    rows = [list(row) for row in m]
+    inverse = invert_mod(rows, prime)
     if det_mod(m, prime) == 0:
         assert inverse is None
         return
     assert all(0 <= x < prime for row in inverse for x in row)
-    product = reduce_mod(m * inverse, prime)
-    assert product == ExactMatrix.identity(m.rows)
+    identity = [list(row) for row in ExactMatrix.identity(m.rows)]
+    assert mul_mod(rows, inverse, prime) == mul_mod(inverse, rows, prime) == identity
 
 
 def test_invert_mod_singular_only_mod_the_prime():
-    m = ExactMatrix([[1, 0], [0, RANK_PRIME]])
-    assert det_exact(m) == RANK_PRIME
-    assert invert_mod(m) is None
-    assert invert_mod(m, 5) == ExactMatrix([[1, 0], [0, pow(RANK_PRIME, -1, 5)]])
+    rows = [[1, 0], [0, RANK_PRIME]]
+    assert det_exact(ExactMatrix(rows)) == RANK_PRIME
+    assert invert_mod(rows) is None
+    assert invert_mod(rows, 5) == [[1, 0], [0, pow(RANK_PRIME, -1, 5)]]
     with pytest.raises(ValueError, match="non-square"):
-        invert_mod(ExactMatrix([[1, 2]]))
+        invert_mod([[1, 2]])
 
 
 @PROPERTY
 @given(matrices(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
 def test_reduce_mod_maps_each_entry_to_its_residue(m, prime):
     image = reduce_mod(m, prime)
+    assert reduce_mod([list(row) for row in m], prime) == image
     if any(x.denominator % prime == 0 for row in m for x in row):
         assert image is None
         return
-    assert image.shape == m.shape
+    assert len(image) == m.rows and all(len(row) == m.cols for row in image)
     for row, image_row in zip(m, image):
         for x, y in zip(row, image_row):
             assert 0 <= y < prime and (y * x.denominator - x.numerator) % prime == 0
+
+
+@st.composite
+def square_pairs(draw):
+    """Two square rational matrices of one size up to 4x4."""
+    n = draw(st.integers(1, 4))
+    grid = st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+    return ExactMatrix(draw(grid)), ExactMatrix(draw(grid))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(square_pairs(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_mul_mod_and_commutator_mod_reduce_the_exact_products(pair, prime):
+    # reduction mod the prime is a ring homomorphism where it is defined
+    x, y = pair
+    rx, ry = reduce_mod(x, prime), reduce_mod(y, prime)
+    assume(rx is not None and ry is not None)
+    assert mul_mod(rx, ry, prime) == reduce_mod(x * y, prime)
+    assert commutator_mod(rx, ry, prime) == reduce_mod(commutator(x, y), prime)
 
 
 # -- int and Fraction entries ----------------------------------------------------

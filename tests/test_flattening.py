@@ -20,6 +20,7 @@ from koszul_rank.exact_linalg import (
     random_invertible,
     rank_exact,
     rank_mod,
+    reduce_mod,
 )
 from koszul_rank.flattening import (
     BlockLabel,
@@ -27,6 +28,7 @@ from koszul_rank.flattening import (
     StructureError,
     SymbolicBlockMatrix,
     assemble,
+    assemble_mod,
     check_structure,
     commutator_matrix,
     commutator_pattern,
@@ -333,13 +335,18 @@ def dense_rank_mod(fam):
 def ranked_sides(monkeypatch, fam):
     """flattening_rank_mod(fam) and the sides of every matrix it ranked."""
     sides = []
-    real = flattening.rank_mod
+    real, real_rows = flattening.rank_mod, flattening.rank_mod_rows
 
     def spy(m, prime=RANK_PRIME):
         sides.append(m.rows)
         return real(m, prime)
 
+    def spy_rows(rows, ncols, prime=RANK_PRIME):
+        sides.append(len(rows))
+        return real_rows(rows, ncols, prime)
+
     monkeypatch.setattr(flattening, "rank_mod", spy)
+    monkeypatch.setattr(flattening, "rank_mod_rows", spy_rows)
     return flattening_rank_mod(fam), sides
 
 
@@ -391,6 +398,52 @@ def test_schur_rank_ranks_only_the_commutator_grid(monkeypatch):
         rank, sides = ranked_sides(monkeypatch, fam)
         assert sides == [comb(2 * p, p + 1) * n]
         assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+
+
+def test_schur_rank_builds_no_exact_matrix(monkeypatch):
+    # from the slices' residues on, the Schur path works on int rows mod the prime
+    rng = random.Random(47)
+    cases = [family(p, n, rng, identity_pivot=False) for p, n in [(1, 3), (2, 2), (3, 2)]]
+    xs = tuple(ExactMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+                            for _ in range(3)]) for _ in range(5))
+    cases.append(SliceFamily(2, 3, 3, xs))
+    expected = [dense_rank_mod(fam) for fam in cases]
+    built = []
+    init = ExactMatrix.__init__
+
+    def counting_init(self, entries):
+        built.append(self)
+        init(self, entries)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting_init)
+    assert [flattening_rank_mod(fam) for fam in cases] == expected
+    assert built == []
+
+
+@st.composite
+def commutator_families(draw):
+    """p in 1..3 and 2p + 1 small slices, rational in about a third of the cases."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.integers(-9, 9)
+    if draw(st.integers(0, 2)) == 0:
+        values = values | st.fractions(-9, 9, max_denominator=6)
+    grid = st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
+    return SliceFamily(p, n, n, tuple(ExactMatrix(draw(grid)) for _ in range(2 * p + 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(commutator_families(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+def test_assemble_mod_is_the_residue_of_assemble(fam, prime):
+    xs = fam.slices
+    assume(all(reduce_mod(x, prime) is not None for x in xs))
+    pattern = commutator_pattern(fam.p)
+    commutators = {
+        (i, j): reduce_mod(commutator(xs[i], xs[j]), prime)
+        for i in range(1, len(xs))
+        for j in range(i + 1, len(xs))
+    }
+    rows = assemble_mod(pattern, commutators, fam.b, prime)
+    assert rows == reduce_mod(assemble(pattern, fam), prime)
 
 
 def test_schur_rank_of_a_family_that_commutes_after_normalization():

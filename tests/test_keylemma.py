@@ -15,6 +15,7 @@ from koszul_rank.exact_linalg import (
     det_exact,
     det_mod,
     invert,
+    reduce_mod,
 )
 from koszul_rank.flattening import assemble, commutator_pattern
 from koszul_rank.keylemma import (
@@ -250,18 +251,29 @@ def test_basis_with_a_denominator_divisible_by_the_prime_is_rejected_before_any_
     assert stages == []
 
 
-def test_rational_basis_with_denominators_prime_to_the_prime_validates():
+def rational_basis():
+    """Elementary basis of 3 x 3 matrices with denominators 3 and 5."""
     basis = elementary_basis(3)
     basis[0] = basis[0] * Fraction(1, 3)
     basis[4] = basis[4] + basis[5] * Fraction(2, 5)
+    return basis
+
+
+def test_rational_basis_with_denominators_prime_to_the_prime_validates():
+    basis = rational_basis()
     witness = key_lemma_search(3, 1, basis=basis, seed=0)
     validate_witness(witness, basis)
 
 
 def run_capturing_stages(monkeypatch, n, p, basis, seed):
-    """Run key_lemma_search; return each stage's evaluator and shrunken point."""
-    polys, points = [], []
+    """Run key_lemma_search; return each stage's evaluator and shrunken point.
+
+    Also returns attempt 0's adj(alpha^0) residue rows, the left factor of
+    its first mul_mod.
+    """
+    polys, points, left_factors = [], [], []
     search, shrink = keylemma.support_restriction_search, keylemma.shrink_witness
+    real_mul = keylemma.mul_mod
 
     def spy_search(poly, *args, **kwargs):
         polys.append(poly)
@@ -272,15 +284,21 @@ def run_capturing_stages(monkeypatch, n, p, basis, seed):
         points.append(found.point)
         return found
 
+    def spy_mul(x, y, *args):
+        left_factors.append(x)
+        return real_mul(x, y, *args)
+
     monkeypatch.setattr(keylemma, "support_restriction_search", spy_search)
     monkeypatch.setattr(keylemma, "shrink_witness", spy_shrink)
+    monkeypatch.setattr(keylemma, "mul_mod", spy_mul)
     key_lemma_search(n, p, basis=basis, seed=seed)
     assert len(polys) == len(points) == (3 if p == 1 else 4)  # attempt 0 succeeded
-    return polys, points
+    return polys, points, left_factors[0]
 
 
 def exact_stage_evaluators(n, p, basis, points, seed):
-    """det_mod of each stage's ExactMatrix expression, with attempt 0's fixed slices."""
+    """det_mod of each stage's ExactMatrix expression, with attempt 0's fixed
+    slices, and the exact adjugate of alpha^0 as the Fraction reference."""
     arity = n * n
 
     def build(x):
@@ -315,12 +333,13 @@ def exact_stage_evaluators(n, p, basis, points, seed):
         family = SliceFamily(p, n, n, tuple(slices + [normalized(x)]))
         return det_mod(assemble(commutator_pattern(p), family))
 
-    return [
+    evaluators = [
         lambda x: det_mod(build(x)),
         stage1,
         lambda x: det_mod(commutator(normalized(x), adj0 * fixed[2])),
         stage3,
     ]
+    return evaluators, adj0
 
 
 def random_integer_basis(n, rng):
@@ -334,28 +353,42 @@ def random_integer_basis(n, rng):
             return basis
 
 
-@pytest.mark.parametrize("n, p, random_basis", [(3, 1, False), (4, 1, True), (4, 2, False), (4, 2, True)])
-def test_stage_evaluators_equal_det_mod_of_the_exact_expressions(monkeypatch, n, p, random_basis):
+# basis_kind: False elementary, True random integer, "rational" rational_basis()
+@pytest.mark.parametrize(
+    "n, p, basis_kind",
+    [(3, 1, False), (4, 1, True), (4, 2, False), (4, 2, True), (3, 1, "rational")],
+)
+def test_stage_evaluators_equal_det_mod_of_the_exact_expressions(monkeypatch, n, p, basis_kind):
     rng = random.Random(97 + n + p)
-    basis = random_integer_basis(n, rng) if random_basis else elementary_basis(n)
-    polys, points = run_capturing_stages(monkeypatch, n, p, basis, seed=3)
-    expected = exact_stage_evaluators(n, p, basis, points, seed=3)
+    if basis_kind == "rational":
+        basis = rational_basis()
+    else:
+        basis = random_integer_basis(n, rng) if basis_kind else elementary_basis(n)
+    polys, points, adj0 = run_capturing_stages(monkeypatch, n, p, basis, seed=3)
+    expected, exact_adj0 = exact_stage_evaluators(n, p, basis, points, seed=3)
+    assert adj0 == reduce_mod(exact_adj0)
     for stage, poly in enumerate(polys):
         samples = [[0] * poly.arity, list(points[stage])]
         for _ in range(6):
             span = rng.choice((9, 2**40))
             samples.append([rng.choice((0, rng.randint(-span, span))) for _ in range(poly.arity)])
         for x in samples:
-            assert poly.evaluate(x) == expected[stage](x), f"stage {stage} at {x}"
+            value, reference = poly.evaluate(x), expected[stage](x)
+            if basis_kind == "rational":
+                # det_mod row-scales a rational matrix, so only zero against
+                # nonzero carries over
+                assert bool(value) == bool(reference), f"stage {stage} at {x}"
+            else:
+                assert value == reference, f"stage {stage} at {x}"
 
 
 def test_stage3_recomputes_only_the_commutators_with_the_last_slice(monkeypatch):
-    polys, points = run_capturing_stages(monkeypatch, 4, 2, elementary_basis(4), seed=0)
+    polys, points, _ = run_capturing_stages(monkeypatch, 4, 2, elementary_basis(4), seed=0)
     x = list(points[3])
     value = polys[3].evaluate(x)
     calls = []
-    real = keylemma._commutator_mod
-    monkeypatch.setattr(keylemma, "_commutator_mod", lambda a, b: calls.append(1) or real(a, b))
+    real = keylemma.commutator_mod
+    monkeypatch.setattr(keylemma, "commutator_mod", lambda *args: calls.append(1) or real(*args))
     assert polys[3].evaluate(x) == value != 0
     assert len(calls) == 2 * 2 - 1  # [X_i, X_4] for i = 1, 2, 3 out of 6 pairs
 
