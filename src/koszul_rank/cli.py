@@ -124,7 +124,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.n < 1:
-        raise SystemExit(_input_error("--n must be >= 1"))
+        return _input_error("--n must be >= 1")
     if (args.m is not None and args.m < 1) or not 0 <= args.p <= MAX_BOUNDS_P:
         return _input_error(f"need --m >= 1 and 0 <= --p <= {MAX_BOUNDS_P}")
     rows = []

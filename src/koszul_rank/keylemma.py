@@ -34,12 +34,16 @@ key_lemma_search chains four such searches (pipeline for p in {1, 2}):
   stage 2   det([X_1, fixed X_2])              -> v_1, support <= n
   stage 3   det of the commutator grid in v_2p -> v_2p, <= n*(binom(2p,p+1)-binom(2p-2,p-1))
 
-fixing the sampled witness after each stage.  The product structure
-det(grid) = det(diagonal part) * det(Schur factors) makes the final
-det != 0 automatic once every stage succeeded; the witness is re-validated
-from scratch anyway.  Stage arithmetic uses adjugate-normalized slices
-adj(alpha^0) * v (integer entries), which rescales each stage polynomial by a
-nonzero constant without moving its zero set or degree.
+fixing the sampled witness point after each stage.  The search stages touch
+only residues: each slot keeps its point and its normalized residue rows, and
+the 2p + 1 exact alphas are built once, after stage 3.  Stage arithmetic uses
+adjugate-normalized slices adj(alpha^0) * v (integer entries), which rescales
+each stage polynomial by a nonzero constant without moving its zero set or
+degree.  The product structure det(grid) = det(diagonal part) * det(Schur
+factors) makes the final det != 0 automatic once every stage succeeded; the
+witness is still checked once, over Q, by the helpers validate_witness
+replays: _grid_det takes det_exact of the normalized commutator grid, and the
+support and basis checks run after it.  A failed final check retries the run.
 """
 
 from __future__ import annotations
@@ -333,12 +337,36 @@ def _independent_rows(m: ExactMatrix) -> bool:
     return rank_mod(m) == m.rows or rank_exact(m) == m.rows
 
 
-def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
-    """Re-check every claim of a witness from scratch; raises ValueError."""
+def _stacked(mats: Sequence, n: int) -> ExactMatrix:
+    """One row per n x n matrix: its n^2 entries, row-major."""
+    return ExactMatrix([[m[i, j] for i in range(n) for j in range(n)] for m in mats])
+
+
+def _grid_det(alphas: tuple[ExactMatrix, ...], n: int, p: int) -> Fraction:
+    """det_exact of the alphas' commutator grid, normalized by alpha^0.
+
+    Checks first that there are 2p + 1 independent alphas with alpha^0
+    nonsingular; raises ValueError naming the first failed check, a
+    vanishing determinant included.
+    """
+    if len(alphas) != 2 * p + 1:
+        raise ValueError("wrong number of alphas")
+    if not _independent_rows(_stacked(alphas, n)):
+        raise ValueError("alphas are linearly dependent")
+    if det_exact(alphas[0]) == 0:
+        raise ValueError("alpha^0 is singular")
+    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas)))
+    value = det_exact(numeric)
+    if value == 0:
+        raise ValueError("commutator grid determinant vanishes")
+    return value
+
+
+def _check_counts(witness: KeyLemmaWitness) -> None:
+    """The supports against their budgets, and the counts stored with them."""
     n, p = witness.n, witness.p
-    budgets = _stage_budgets(n, p)
     supports = (witness.support0, witness.support1, witness.support2, witness.support3)
-    for idx, (sup, cap) in enumerate(zip(supports, budgets)):
+    for idx, (sup, cap) in enumerate(zip(supports, _stage_budgets(n, p))):
         if len(sup) > cap:
             raise ValueError(f"support {idx} has {len(sup)} > budget {cap}")
     union = witness.supports_union()
@@ -346,35 +374,34 @@ def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> 
         raise ValueError("union size mismatch")
     if witness.h_achieved != n * n - len(union):
         raise ValueError("h_achieved mismatch")
-    if witness.h_achieved < h_value(n, p):
+    if witness.h_required != h_value(n, p):
+        raise ValueError("h_required is not h(n, p)")
+    # implied by the checks above: the budgets sum to n^2 - h(n, p), so the
+    # union leaves at least h(n, p) basis vectors untouched
+    if witness.h_achieved < witness.h_required:
         raise ValueError("h_achieved below the guaranteed count")
-    if len(witness.alphas) != 2 * p + 1:
-        raise ValueError("wrong number of alphas")
-    stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in witness.alphas])
-    if not _independent_rows(stacked):
-        raise ValueError("alphas are linearly dependent")
-    alpha0 = witness.alphas[0]
-    det0 = det_exact(alpha0)
-    if det0 == 0:
-        raise ValueError("alpha^0 is singular")
-    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, witness.alphas)))
-    value = det_exact(numeric)
-    if value == 0:
-        raise ValueError("commutator grid determinant vanishes")
-    if value != witness.grid_det:
-        raise ValueError("stored grid determinant does not replay")
-    # every alpha must live inside the claimed supports: express each alpha
-    # in the basis and check that its coordinates stay in the union
-    columns = ExactMatrix(
-        [[b[i, j] for b in basis] for i in range(n) for j in range(n)]
-    )
-    inv_columns = invert(columns)
-    for which, alpha in enumerate(witness.alphas):
-        vec = ExactMatrix([[alpha[i, j]] for i in range(n) for j in range(n)])
-        coeffs = inv_columns * vec
-        used = {idx for idx in range(len(basis)) if coeffs[idx, 0] != 0}
-        if not used <= union:
+
+
+def _check_alphas_in_supports(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
+    """Every alpha's coordinates in the basis vanish off the supports' union."""
+    union = witness.supports_union()
+    coords = _stacked(witness.alphas, witness.n) * invert(_stacked(basis, witness.n))
+    for which, row in enumerate(coords):
+        if any(x for idx, x in enumerate(row) if idx not in union):
             raise ValueError(f"alpha^{which} uses basis vectors outside the supports")
+
+
+def validate_witness(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
+    """Re-check every claim of a stored witness from scratch; raises ValueError.
+
+    This is the replay a reader runs on a witness, with nothing but its
+    fields and the basis.  It recomputes the grid determinant with _grid_det,
+    the helper the pipeline uses to obtain it, so the two cannot drift apart.
+    """
+    _check_counts(witness)
+    if _grid_det(witness.alphas, witness.n, witness.p) != witness.grid_det:
+        raise ValueError("stored grid determinant does not replay")
+    _check_alphas_in_supports(witness, basis)
 
 
 def _middle_pairs(p: int) -> list[tuple[int, int]]:
@@ -415,8 +442,7 @@ def key_lemma_search(
     basis = list(basis)
     if len(basis) != n * n:
         raise KeyLemmaStageError("stage P0: basis must have n^2 elements")
-    stacked = ExactMatrix([[b[i, j] for i in range(n) for j in range(n)] for b in basis])
-    if not _independent_rows(stacked):
+    if not _independent_rows(_stacked(basis, n)):
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
     residues = [reduce_mod(b) for b in basis]
     if any(r is None for r in residues):
@@ -442,14 +468,10 @@ def _run_pipeline(
     """One attempt of the staged search; residues is the basis mod RANK_PRIME."""
     arity = n * n
     budgets = _stage_budgets(n, p)
-    entries = _basis_entries(basis)
     entries_mod = _basis_entries(residues)
 
-    def build(coords: Sequence) -> ExactMatrix:
-        return ExactMatrix(_grid_from_entries(coords, entries, n))
-
     def build_mod(coords: Sequence) -> list[list[int]]:
-        """Integer rows congruent to build(coords) mod RANK_PRIME."""
+        """Integer rows congruent to sum_k coords[k] * basis[k] mod RANK_PRIME."""
         return _grid_from_entries(coords, entries_mod, n)
 
     def run_stage(stage: int, poly: PolynomialEvaluator) -> SupportWitness:
@@ -467,7 +489,6 @@ def _run_pipeline(
 
     # stage 0: the determinant itself
     w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(build_mod(x))))
-    alpha0 = build(w0.point)
     # adj(alpha^0) mod the prime is det * inverse of alpha^0's residue rows;
     # stage 0 accepted w0 on a nonzero det residue, so the inverse exists
     rows0 = build_mod(w0.point)
@@ -477,10 +498,15 @@ def _run_pipeline(
     def normalized(coords: Sequence) -> list[list[int]]:
         return mul_mod(adj0, build_mod(coords))
 
+    points = {0: w0.point}  # each slot's witness point, the coordinates of alpha^i
+    fixed_mod: dict[int, list[list[int]]] = {}  # adj0 * alpha^i, mod RANK_PRIME
+
+    def fix(slot: int, coords: Sequence[int]) -> None:
+        points[slot] = coords
+        fixed_mod[slot] = normalized(coords)
+
     # stage 1: middle slices v_2 .. v_{2p-1}
     middles = list(range(2, 2 * p))
-    fixed: dict[int, ExactMatrix] = {}
-    fixed_mod: dict[int, list[list[int]]] = {}  # adj0 * fixed[i], mod RANK_PRIME
     if p == 1:
         # no middle slices exist; fix v_2 = v_2p here against a seeded
         # auxiliary matrix so the stage budget n * binom(2,2) = n is used
@@ -493,8 +519,7 @@ def _run_pipeline(
             ),
         )
         support1 = w1.support
-        fixed[2] = build(w1.point)
-        fixed_mod[2] = normalized(w1.point)
+        fix(2, w1.point)
     else:
         pairs = _middle_pairs(p)
         slot_of = {m: s for s, m in enumerate(middles)}
@@ -517,9 +542,7 @@ def _run_pipeline(
             used.add(var % arity)
         support1 = tuple(sorted(used))
         for m in middles:
-            coords = w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity]
-            fixed[m] = build(coords)
-            fixed_mod[m] = normalized(coords)
+            fix(m, w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity])
 
     # stage 2: v_1 against the fixed v_2
     w2 = run_stage(
@@ -528,8 +551,7 @@ def _run_pipeline(
             arity, n, lambda x: det_mod_rows(commutator_mod(normalized(x), fixed_mod[2]))
         ),
     )
-    fixed[1] = build(w2.point)
-    fixed_mod[1] = normalized(w2.point)
+    fix(1, w2.point)
 
     # stage 3: the last slice v_2p through the full commutator grid.  The
     # commutators among v_1 .. v_{2p-1} do not move with the sample, so they
@@ -553,16 +575,15 @@ def _run_pipeline(
 
         w3 = run_stage(3, PolynomialEvaluator(arity, budgets[3], eval_stage3))
         support3 = w3.support
-        fixed[last] = build(w3.point)
+        points[last] = w3.point
 
-    alphas = (alpha0,) + tuple(fixed[i] for i in range(1, 2 * p + 1))
-    stacked = ExactMatrix([[a[i, j] for i in range(n) for j in range(n)] for a in alphas])
-    if not _independent_rows(stacked):
-        raise KeyLemmaStageError("final: alphas are linearly dependent")
-    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas)))
-    grid_det = det_exact(numeric)
-    if grid_det == 0:
-        raise KeyLemmaStageError("final: commutator grid determinant vanishes")
+    # the exact alphas, built once; a failed final check retries the run
+    entries = _basis_entries(basis)
+    alphas = tuple(ExactMatrix(_grid_from_entries(points[i], entries, n)) for i in range(2 * p + 1))
+    try:
+        grid_det = _grid_det(alphas, n, p)
+    except ValueError as exc:
+        raise KeyLemmaStageError(f"final: {exc}") from None
 
     union = set(w0.support) | set(support1) | set(w2.support) | set(support3)
     witness = KeyLemmaWitness(
@@ -579,7 +600,8 @@ def _run_pipeline(
         union_size=len(union),
         grid_det=grid_det,
     )
-    validate_witness(witness, basis)
+    _check_counts(witness)
+    _check_alphas_in_supports(witness, basis)
     return witness
 
 

@@ -53,9 +53,8 @@ def test_bounds_rectangular_skips_square_only_kinds(capsys):
 
 
 def test_bounds_rejects_bad_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--n", "0"])
-    assert exc.value.code == 2
+    assert main(["bounds", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: --n must be >= 1\n"
 
 
 def test_bounds_accepts_p_from_zero_to_the_cap(capsys):
@@ -312,6 +311,8 @@ def test_flatten_golden_output(capsys, p, commutators):
         ("verify", "--suite", "strassen", "--n", "-1"),
         ("verify", "--suite", "p2", "--n", "1000"),
         ("verify", "--suite", "detlemmas", "--trials", "-1"),
+        ("bounds", "--n", "0"),
+        ("bounds", "--n", "-3"),
         ("bounds", "--n", "5", "--m", "-3"),
         ("bounds", "--n", "5", "--m", "0"),
         ("bounds", "--n", "5", "--p", "-1"),

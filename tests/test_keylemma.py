@@ -394,23 +394,80 @@ def test_stage3_recomputes_only_the_commutators_with_the_last_slice(monkeypatch)
 
 
 def test_validate_witness_catches_tampering():
+    # one tampered witness per check, in the order validate_witness runs them
     witness = key_lemma_search(3, 1, seed=0)
+    basis = elementary_basis(3)
+    assert witness.union_size < 9  # an alpha can stray off the supports
+    alpha0, alpha1, alpha2 = witness.alphas
+    commuting = alpha1 * invert(alpha0) * alpha1  # X_2 = X_1^2 commutes with X_1
+    stray = (alpha0, ExactMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]]), alpha2)
+    cases = [
+        ("support 0 has 4 > budget 3", {"support0": (0, 1, 2, 3)}),
+        ("union size mismatch", {"union_size": witness.union_size + 1}),
+        ("h_achieved mismatch", {"h_achieved": witness.h_achieved + 1}),
+        ("h_required is not h(n, p)", {"h_required": witness.h_required + 1}),
+        ("wrong number of alphas", {"alphas": witness.alphas[:2]}),
+        ("alphas are linearly dependent", {"alphas": (alpha0, alpha1, alpha1 * 2)}),
+        ("alpha^0 is singular", {"alphas": (basis[0], alpha1, alpha2)}),
+        ("commutator grid determinant vanishes", {"alphas": (alpha0, alpha1, commuting)}),
+        ("stored grid determinant does not replay", {"grid_det": witness.grid_det + 1}),
+        (
+            "alpha^1 uses basis vectors outside the supports",
+            {"alphas": stray, "grid_det": keylemma._grid_det(stray, 3, 1)},
+        ),
+    ]
+    validate_witness(witness, basis)
+    for message, changes in cases:
+        with pytest.raises(ValueError) as info:
+            validate_witness(dataclasses.replace(witness, **changes), basis)
+        assert str(info.value) == message
 
-    def tamper(**changes):
-        fields = {f: getattr(witness, f) for f in witness.__dataclass_fields__}
-        fields.update(changes)
-        return witness.__class__(**fields)
 
-    with pytest.raises(ValueError, match="determinant"):
-        validate_witness(tamper(grid_det=witness.grid_det + 1), elementary_basis(3))
-    with pytest.raises(ValueError, match="h_achieved"):
-        validate_witness(tamper(h_achieved=witness.h_achieved + 1), elementary_basis(3))
-    dense = ExactMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    with pytest.raises(ValueError):
-        validate_witness(
-            tamper(alphas=(witness.alphas[0], dense, witness.alphas[2])),
-            elementary_basis(3),
-        )
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_stage_budgets_sum_to_n_squared_minus_h(p):
+    # so the union of budget-sized supports leaves at least h(n, p) vectors,
+    # and the "below the guaranteed count" check of validate_witness is implied
+    for n in (1, 2, 3, 5, 9, 31):
+        assert sum(keylemma._stage_budgets(n, p)) == n * n - h_value(n, p)
+
+
+@pytest.mark.parametrize("n, p", [(3, 1), (4, 2)])
+def test_grid_determinant_is_taken_once_per_search_and_per_replay(monkeypatch, n, p):
+    grids, normalized, grid_dets = [], [], []
+    real_normalize, real_grid, real_det = (
+        keylemma.normalize_pivot, keylemma.commutator_matrix, keylemma.det_exact
+    )
+
+    def spy_grid(family):
+        symbolic, numeric = real_grid(family)
+        grids.append(numeric)
+        return symbolic, numeric
+
+    def spy_det(m):
+        if any(m is grid for grid in grids):
+            grid_dets.append(m)
+        return real_det(m)
+
+    monkeypatch.setattr(keylemma, "normalize_pivot", lambda f: normalized.append(f) or real_normalize(f))
+    monkeypatch.setattr(keylemma, "commutator_matrix", spy_grid)
+    monkeypatch.setattr(keylemma, "det_exact", spy_det)
+    witness = key_lemma_search(n, p, seed=0)
+    assert (len(normalized), len(grids), len(grid_dets)) == (1, 1, 1)
+    validate_witness(witness, elementary_basis(n))
+    assert (len(normalized), len(grids), len(grid_dets)) == (2, 2, 2)
+
+
+def test_a_vanishing_grid_determinant_fails_each_attempt_at_the_final_stage(monkeypatch):
+    monkeypatch.setattr(
+        keylemma, "commutator_matrix", lambda family: (None, ExactMatrix.zeros(family.b, family.b))
+    )
+    with pytest.raises(KeyLemmaStageError) as info:
+        key_lemma_search(3, 1, seed=0)
+    message = str(info.value)
+    assert message.startswith("all 5 attempts failed: ")
+    assert message.split(": ", 1)[1].split("; ") == [
+        f"attempt {attempt}: final: commutator grid determinant vanishes" for attempt in range(5)
+    ]
 
 
 def test_refined_p2_degree_bound():
