@@ -130,6 +130,11 @@ class BoundReport:
     vacuous: bool
 
 
+def mr_coefficient(p: int) -> int:
+    """2 binom(2p,p+1) - binom(2p-2,p-1) + 2, the abstract's coefficient of n."""
+    return 2 * math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1) + 2
+
+
 def bound_value(kind: BoundKind, n: int, m: Optional[int] = None) -> BoundReport:
     """Evaluate a bound formula exactly at (n, m); m defaults to n."""
     if n < 1:
@@ -146,8 +151,7 @@ def bound_value(kind: BoundKind, n: int, m: Optional[int] = None) -> BoundReport
     elif kind.tag == "landsberg":
         value = (3 - Fraction(1, p + 1)) * n * n - (1 + 2 * p * math.comb(2 * p, p)) * n
     elif kind.tag == "mr":
-        coefficient = 2 * math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1) + 2
-        value = (1 + Fraction(p, p + 1)) * n * m + n * n - coefficient * n
+        value = (1 + Fraction(p, p + 1)) * n * m + n * n - mr_coefficient(p) * n
     elif kind.tag == "mr_p2_refined":
         value = Fraction(8, 3) * n * n - 7 * n
     elif kind.tag == "mr_p3_refined":
@@ -163,8 +167,7 @@ def best_mr(n: int) -> tuple[int, BoundReport]:
         raise ValueError("n must be >= 1")
     best_p, best = 1, bound_value(BoundKind("mr", 1), n)
     for p in range(2, n + 1):
-        coefficient = 2 * math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1) + 2
-        if coefficient > 3 * n and best.value >= 0:
+        if mr_coefficient(p) > 3 * n and best.value >= 0:
             break  # every later value is negative: (3 - 1/(p+1)) n^2 < coefficient * n
         report = bound_value(BoundKind("mr", p), n)
         if report.ceiling > best.ceiling:

@@ -219,7 +219,8 @@ def _cmd_certify(args) -> int:
         try:
             with open(args.tensor, "r", encoding="utf-8") as handle:
                 tensor = tensor_from_json(json.load(handle))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+            # ArithmeticError: an entry "1/0", or dims or an index of 1e400 (JSON infinity)
             return _input_error(f"cannot read tensor file: {exc}")
         dims = tensor.dims
     elif args.matmul:

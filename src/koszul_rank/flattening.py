@@ -20,10 +20,13 @@ signed commutator [X_i, X_j]; commutator_matrix builds exactly that grid.
 flattening_rank_mod ranks the flattening over GF(2^61 - 1) on that grid,
 after normalizing X_0 to the identity mod the prime.
 
-Blocks carry three label kinds: zero, +-X_k and +-[X_i, X_j].  Both grids
-are built from their nonzero blocks only: assemble builds an ExactMatrix,
-assemble_mod a commutator grid's int rows mod a prime (for
-flattening_rank_mod and the key lemma's stage 3).
+A grid is stored by its nonzero cells: each block row maps a column to a
+label +-X_k or +-[X_i, X_j], and a zero block is simply absent.  Every
+builder and consumer here walks only those cells: assemble builds an
+ExactMatrix, assemble_mod a commutator grid's int rows mod a prime (for
+flattening_rank_mod and the key lemma's stage 3), filling absent cells with
+one shared zero block.  SymbolicBlockMatrix.labels is a dense read-only view,
+with BlockLabel.zero() in every absent cell, for callers that walk every cell.
 
 The printed reference patterns for p = 1, 2, 3 are hardcoded below as token
 grids; verify --suite p3 and the tests compare the constructed grids to them.
@@ -32,7 +35,7 @@ grids; verify --suite p3 and the tests compare the constructed grids to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -67,7 +70,10 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class BlockLabel:
-    """One block of a symbolic matrix: zero, +-X_k, or +-[X_i, X_j]."""
+    """One block of a symbolic matrix: +-X_k or +-[X_i, X_j].
+
+    The zero kind appears only in the dense SymbolicBlockMatrix.labels view.
+    """
 
     kind: str
     sign: int = 1
@@ -99,7 +105,7 @@ class BlockLabel:
         return self.kind == self.ZERO_KIND
 
     def __neg__(self) -> "BlockLabel":
-        if self.is_zero:
+        if self.kind == self.ZERO_KIND:
             return self
         return BlockLabel(self.kind, -self.sign, self.index, self.pair)
 
@@ -112,7 +118,7 @@ class BlockLabel:
         )
 
     def token(self, signed: bool = True) -> str:
-        if self.is_zero:
+        if self.kind == self.ZERO_KIND:
             return "."
         if self.kind == self.SLICE_KIND:
             body = f"X{self.index}"
@@ -126,36 +132,44 @@ class BlockLabel:
 
 @dataclass(frozen=True)
 class SymbolicBlockMatrix:
-    """Rectangular grid of block labels."""
+    """Rectangular grid of block labels, stored by its nonzero cells.
+
+    rows[i] maps each column j of a nonzero block (i, j) to its label, in
+    increasing j; a zero block is absent.
+    """
 
     block_rows: int
     block_cols: int
-    labels: tuple[tuple[BlockLabel, ...], ...]
+    rows: tuple[dict[int, BlockLabel], ...]
 
     def __post_init__(self):
-        if len(self.labels) != self.block_rows or any(
-            len(r) != self.block_cols for r in self.labels
+        if len(self.rows) != self.block_rows or any(
+            not 0 <= j < self.block_cols for row in self.rows for j in row
         ):
             raise ValueError("label grid shape mismatch")
 
-    def label(self, i: int, j: int) -> BlockLabel:
-        return self.labels[i][j]
+    def label(self, i: int, j: int) -> Optional[BlockLabel]:
+        """The label of block (i, j), or None for a zero block."""
+        return self.rows[i].get(j)
 
-    def sub(self, rows: range, cols: range) -> "SymbolicBlockMatrix":
-        grid = tuple(tuple(self.labels[i][j] for j in cols) for i in rows)
-        return SymbolicBlockMatrix(len(rows), len(cols), grid)
+    @property
+    def labels(self) -> tuple[tuple[BlockLabel, ...], ...]:
+        """Dense read-only view: every cell, one shared BlockLabel.zero() in the absent ones.
+
+        Nothing in this package reads it; the benchmark tracer counts the
+        blocks of every assembled grid through it.
+        """
+        zero = BlockLabel.zero()
+        return tuple(tuple(row.get(j, zero) for j in range(self.block_cols)) for row in self.rows)
 
     def same_pattern(self, other: "SymbolicBlockMatrix", signed: bool = True) -> bool:
         if (self.block_rows, self.block_cols) != (other.block_rows, other.block_cols):
             return False
-        for r1, r2 in zip(self.labels, other.labels):
-            for a, b in zip(r1, r2):
-                if signed:
-                    if a != b and not (a.is_zero and b.is_zero):
-                        return False
-                elif not a.same_symbol(b):
-                    return False
-        return True
+        return all(
+            r1.keys() == r2.keys()
+            and all(a == r2[j] if signed else a.same_symbol(r2[j]) for j, a in r1.items())
+            for r1, r2 in zip(self.rows, other.rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -187,28 +201,30 @@ def flattening_layout(p: int) -> FlatteningLayout:
     )
 
 
-def _flattening_labels(layout: FlatteningLayout) -> tuple[tuple[BlockLabel, ...], ...]:
-    """Row J holds +-X_k at column J u {k} for each k not in J, zero elsewhere."""
+def _flattening_labels(layout: FlatteningLayout) -> tuple[dict[int, BlockLabel], ...]:
+    """Row J holds +-X_k at column J u {k} for each k not in J.
+
+    Within a row the columns J u {k} increase with k, so each row comes out
+    in column order.
+    """
     column_of = {subset: j for j, subset in enumerate(layout.col_subsets)}
-    zero = BlockLabel.zero()
     grid = []
     for row_subset in layout.row_subsets:
-        row = [zero] * len(layout.col_subsets)
+        row = {}
         for k in range(2 * layout.p + 1):
             wedge = insert_sign(k, row_subset)
             if wedge is not None:
                 sign, merged = wedge
                 row[column_of[merged]] = BlockLabel.of_slice(k, sign * (-1) ** k)
-        grid.append(tuple(row))
+        grid.append(row)
     return tuple(grid)
 
 
 def flattening_pattern(p: int):
     """Symbolic flattening grid and its layout for generic slice labels."""
     layout = flattening_layout(p)
-    labels = _flattening_labels(layout)
     size = len(layout.row_subsets)
-    return SymbolicBlockMatrix(size, size, labels), layout
+    return SymbolicBlockMatrix(size, size, _flattening_labels(layout)), layout
 
 
 def _unsigned_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
@@ -226,7 +242,7 @@ def _unsigned_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
 def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
     """Expand a symbolic grid into a numeric matrix using the given slices.
 
-    Each distinct label is expanded once per call and every zero cell shares
+    Each distinct label is expanded once per call and every absent cell shares
     one zero block: a p = 2 grid has 16 commutator cells but only 6 distinct
     pairs.
     """
@@ -235,8 +251,8 @@ def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
     zero = ExactMatrix.zeros(slices.b, slices.b)
     blocks: dict[BlockLabel, ExactMatrix] = {}
 
-    def block(label: BlockLabel) -> ExactMatrix:
-        if label.is_zero:
+    def block(label: Optional[BlockLabel]) -> ExactMatrix:
+        if label is None:
             return zero
         matrix = blocks.get(label)
         if matrix is None:
@@ -244,7 +260,8 @@ def assemble(sym: SymbolicBlockMatrix, slices: SliceFamily) -> ExactMatrix:
             blocks[label] = matrix
         return matrix
 
-    return ExactMatrix.from_blocks([[block(label) for label in row] for row in sym.labels])
+    cols = range(sym.block_cols)
+    return ExactMatrix.from_blocks([[block(row.get(j)) for j in cols] for row in sym.rows])
 
 
 def assemble_mod(pattern: SymbolicBlockMatrix, commutators: dict, n: int, prime: int = RANK_PRIME) -> list[list[int]]:
@@ -255,101 +272,91 @@ def assemble_mod(pattern: SymbolicBlockMatrix, commutators: dict, n: int, prime:
     """
     zero = [[0] * n for _ in range(n)]
     negated = {pair: [[-v % prime for v in row] for row in rows] for pair, rows in commutators.items()}
+    cols = range(pattern.block_cols)
     out = []
-    for labels in pattern.labels:
-        cells = [zero if lab.is_zero else (commutators if lab.sign > 0 else negated)[lab.pair] for lab in labels]
+    for row in pattern.rows:
+        cells = [
+            zero if (lab := row.get(j)) is None else (commutators if lab.sign > 0 else negated)[lab.pair]
+            for j in cols
+        ]
         out.extend([v for cell in cells for v in cell[i]] for i in range(n))
     return out
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """The four corners of the flattening grid, validated for shape and content."""
-
-    q: SymbolicBlockMatrix
-    zero: SymbolicBlockMatrix
-    diag: SymbolicBlockMatrix
-    qbar: SymbolicBlockMatrix
-
-
-def partition_blocks(sym: SymbolicBlockMatrix, layout: FlatteningLayout) -> BlockPartition:
-    """Split into Q / 0 / diag(X_0) / R corners, checking each claim.
+def partition_blocks(
+    sym: SymbolicBlockMatrix, layout: FlatteningLayout
+) -> tuple[SymbolicBlockMatrix, SymbolicBlockMatrix]:
+    """The Q and R corners of the Q / 0 / diag(X_0) / R layout, checking each claim.
 
     Q is binom(2p,p+1) x binom(2p,p) blocks of signed X_1..X_2p; the upper
-    right corner is identically zero; the lower left is +diag(X_0).
+    right corner is identically zero; the lower left is +diag(X_0); R holds
+    signed X_1..X_2p.  One pass over the nonzero cells checks all of it.
     """
-    rs, cs = layout.row_split, layout.col_split
-    q = sym.sub(range(rs), range(cs))
-    zero = sym.sub(range(rs), range(cs, sym.block_cols))
-    diag = sym.sub(range(rs, sym.block_rows), range(cs))
-    qbar = sym.sub(range(rs, sym.block_rows), range(cs, sym.block_cols))
-
-    p = layout.p
-    if q.block_rows != comb(2 * p, p + 1) or q.block_cols != comb(2 * p, p):
+    rs, cs, p = layout.row_split, layout.col_split, layout.p
+    if (rs, cs) != (comb(2 * p, p + 1), comb(2 * p, p)):
         raise LayoutError("layout mismatch: Q block shape")
-    for row in zero.labels:
-        if any(not label.is_zero for label in row):
-            raise LayoutError("layout mismatch: upper right corner not zero")
-    if diag.block_rows != diag.block_cols:
+    if sym.block_rows - rs != cs:
         raise LayoutError("layout mismatch: pivot block not square")
-    for i, row in enumerate(diag.labels):
-        for j, label in enumerate(row):
-            if i == j:
-                if label != BlockLabel.of_slice(0, 1):
-                    raise LayoutError("layout mismatch: pivot diagonal not +X0")
-            elif not label.is_zero:
+    pivot = BlockLabel.of_slice(0, 1)
+    q_rows, r_rows = [], []
+    for i, row in enumerate(sym.rows):
+        left = {j: label for j, label in row.items() if j < cs}
+        right = {j - cs: label for j, label in row.items() if j >= cs}
+        if i < rs:
+            if right:
+                raise LayoutError("layout mismatch: upper right corner not zero")
+            corner, cells, kept = "Q", left, q_rows
+        else:
+            if left.pop(i - rs, None) != pivot:
+                raise LayoutError("layout mismatch: pivot diagonal not +X0")
+            if left:
                 raise LayoutError("layout mismatch: pivot block not diagonal")
-    for row in q.labels:
-        for label in row:
-            if not label.is_zero and (label.kind != BlockLabel.SLICE_KIND or label.index == 0):
-                raise LayoutError("layout mismatch: Q contains a non-slice or X0 label")
-    for row in qbar.labels:
-        for label in row:
-            if not label.is_zero and (label.kind != BlockLabel.SLICE_KIND or label.index == 0):
-                raise LayoutError("layout mismatch: R contains a non-slice or X0 label")
-    return BlockPartition(q=q, zero=zero, diag=diag, qbar=qbar)
+            corner, cells, kept = "R", right, r_rows
+        if any(label.kind != BlockLabel.SLICE_KIND or label.index == 0 for label in cells.values()):
+            raise LayoutError(f"layout mismatch: {corner} contains a non-slice or X0 label")
+        kept.append(cells)
+    return (
+        SymbolicBlockMatrix(rs, cs, tuple(q_rows)),
+        SymbolicBlockMatrix(cs, sym.block_cols - cs, tuple(r_rows)),
+    )
 
 
+@cache
 def commutator_pattern(p: int) -> SymbolicBlockMatrix:
-    """Schur-complement grid -(Q R): one signed commutator or zero per cell.
+    """Schur-complement grid -(Q R): one signed commutator per nonzero cell.
 
-    Raises StructureError if any cell fails to reduce to a single commutator
-    (a sum of two or more distinct commutators, or unbalanced coefficients).
+    Built once per p and shared by every caller, so the returned grid must
+    not be mutated.  Raises StructureError if any cell fails to reduce to a
+    single commutator (a sum of two or more distinct commutators, or
+    unbalanced coefficients).
     """
     sym, layout = flattening_pattern(p)
-    parts = partition_blocks(sym, layout)
-    q, qbar = parts.q, parts.qbar
+    q, r = partition_blocks(sym, layout)
     # Column t of Q (subset {0} u J') aligns with row t of R (subset J'):
     # lex order is preserved by J' -> {0} u J', so plain index alignment works.
-    r_nonzero = [
-        [(c, label) for c, label in enumerate(row) if not label.is_zero] for row in qbar.labels
-    ]
-    zero = BlockLabel.zero()
     grid = []
-    for r, q_row in enumerate(q.labels):
+    for i, q_row in enumerate(q.rows):
         cells: dict[int, dict[tuple[int, int], int]] = {}
-        for t, left in enumerate(q_row):
-            if left.is_zero:
-                continue
-            for c, right in r_nonzero[t]:
+        for t, left in q_row.items():
+            for c, right in r.rows[t].items():
                 terms = cells.setdefault(c, {})
                 word = (left.index, right.index)
                 coef = -left.sign * right.sign  # global Schur-complement negation
                 terms[word] = terms.get(word, 0) + coef
-        row = [zero] * qbar.block_cols
+        row = {}
         for c in sorted(cells):
             terms = {w: c0 for w, c0 in cells[c].items() if c0}
             if not terms:
                 continue
             if len(terms) != 2:
-                raise StructureError(f"structure violation at cell ({r},{c}): {terms}")
+                raise StructureError(f"structure violation at cell ({i},{c}): {terms}")
             (w1, c1), (w2, c2) = sorted(terms.items())
             if w1 != (w2[1], w2[0]) or c1 != -c2 or abs(c1) != 1:
-                raise StructureError(f"structure violation at cell ({r},{c}): {terms}")
+                raise StructureError(f"structure violation at cell ({i},{c}): {terms}")
             k, l = w1
             row[c] = BlockLabel.of_commutator(k, l, c1)
-        grid.append(tuple(row))
-    return SymbolicBlockMatrix(q.block_rows, qbar.block_cols, tuple(grid))
+        grid.append(row)
+    return SymbolicBlockMatrix(q.block_rows, r.block_cols, tuple(grid))
 
 
 def normalize_pivot(slices: SliceFamily) -> SliceFamily:
@@ -380,12 +387,6 @@ def commutator_matrix(slices: SliceFamily):
     return sym, assemble(sym, slices)
 
 
-@lru_cache(maxsize=None)
-def _schur_grid(p: int) -> SymbolicBlockMatrix:
-    """commutator_pattern(p), built once per p for flattening_rank_mod."""
-    return commutator_pattern(p)
-
-
 def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
     """rank_mod of the assembled flattening, taken on its Schur complement.
 
@@ -413,7 +414,7 @@ def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
     xs = [None] + [mul_mod(x0_inv, x, prime) for x in reduced[1:]]
     pairs = combinations(range(1, 2 * p + 1), 2)
     commutators = {(i, j): commutator_mod(xs[i], xs[j], prime) for i, j in pairs}
-    rows = assemble_mod(_schur_grid(p), commutators, n, prime)
+    rows = assemble_mod(commutator_pattern(p), commutators, n, prime)
     return comb(2 * p, p) * n + rank_mod_rows(rows, len(rows), prime)
 
 
@@ -460,18 +461,18 @@ def check_structure(p: int) -> StructureReport:
     d = comb(2 * p - 2, p - 1)
     corner_ok = True
     detail = f"block-count {d}"
-    for i in range(d):
+    for i, row in enumerate(grid.rows[grid.block_rows - d :]):
         for j in range(d):
-            label = grid.label(grid.block_rows - d + i, j)
+            label = row.get(j)
             if i == j:
-                if not label.same_symbol(BlockLabel.of_commutator(1, 2)):
-                    corner_ok, detail = False, f"diagonal cell {i} is {label.token()}"
-            elif not label.is_zero:
+                if label is None or not label.same_symbol(BlockLabel.of_commutator(1, 2)):
+                    corner_ok, detail = False, f"diagonal cell {i} is {label.token() if label else '.'}"
+            elif label is not None:
                 corner_ok, detail = False, f"off-diagonal cell ({i},{j}) is {label.token()}"
     checks.append(CheckResult("corner-diag-[X1,X2]", corner_ok, detail))
 
     diagonal = [grid.label(i, i) for i in range(grid.block_rows)]
-    pairs = [lab.pair for lab in diagonal if not lab.is_zero]
+    pairs = [lab.pair for lab in diagonal if lab is not None]
     counts: dict[tuple[int, int], int] = {}
     for pair in pairs:
         counts[pair] = counts.get(pair, 0) + 1
@@ -507,21 +508,19 @@ def check_structure(p: int) -> StructureReport:
 
 def dump_symbolic(sym: SymbolicBlockMatrix, signed: bool = True) -> str:
     """Text grid with one token per block: '.', '+X3', '-X12', ..."""
-    widths = [0] * sym.block_cols
-    token_grid = [[label.token(signed) for label in row] for row in sym.labels]
+    widths = [1] * sym.block_cols  # the width of '.'
+    token_grid = [{j: label.token(signed) for j, label in row.items()} for row in sym.rows]
     for row in token_grid:
-        for j, tok in enumerate(row):
+        for j, tok in row.items():
             widths[j] = max(widths[j], len(tok))
     lines = [
-        " ".join(tok.ljust(widths[j]) for j, tok in enumerate(row)).rstrip()
+        " ".join(row.get(j, ".").ljust(width) for j, width in enumerate(widths)).rstrip()
         for row in token_grid
     ]
     return "\n".join(lines) + "\n"
 
 
 def _parse_token(tok: str) -> BlockLabel:
-    if tok == ".":
-        return BlockLabel.zero()
     sign = 1
     if tok[0] in "+-":
         sign = 1 if tok[0] == "+" else -1
@@ -542,8 +541,10 @@ def _parse_token(tok: str) -> BlockLabel:
 def parse_symbolic(text: str) -> SymbolicBlockMatrix:
     """Inverse of dump_symbolic (used for the printed reference fixtures)."""
     rows = [line.split() for line in text.strip().splitlines()]
-    grid = tuple(tuple(_parse_token(tok) for tok in row) for row in rows)
-    return SymbolicBlockMatrix(len(grid), len(grid[0]), grid)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("label grid shape mismatch")
+    grid = tuple({j: _parse_token(tok) for j, tok in enumerate(row) if tok != "."} for row in rows)
+    return SymbolicBlockMatrix(len(grid), len(rows[0]), grid)
 
 
 _REFERENCE_P1 = """

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .bounds import mr_coefficient
 from .exact_linalg import (
     RANK_PRIME,
     Entry,
@@ -195,8 +196,7 @@ def h_value(n: int, p: int) -> int:
     """n^2 - n(2 binom(2p,p+1) - binom(2p-2,p-1) + 2); may be negative."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    coefficient = 2 * math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1) + 2
-    return n * n - n * coefficient
+    return n * n - n * mr_coefficient(p)
 
 
 def elementary_basis(n: int) -> list[ExactMatrix]:
@@ -410,7 +410,7 @@ def _middle_pairs(p: int) -> list[tuple[int, int]]:
     pairs = []
     for i in range(grid.block_rows):
         label = grid.label(i, i)
-        if label.is_zero:
+        if label is None:
             continue
         a, b = label.pair
         if a in (1, 2 * p) or b in (1, 2 * p):

@@ -10,7 +10,7 @@ smaller than k, i.e. the sign is (-1)^(position of k in the sorted result).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -24,7 +24,6 @@ class WedgeBasis:
     p: int
     cardinality: int
     order: tuple[WedgeIndex, ...]
-    index_of: dict = field(repr=False)
 
     def split_on_zero(self) -> tuple[list[WedgeIndex], list[WedgeIndex]]:
         """(subsets containing 0, subsets not containing 0), lex inside each."""
@@ -43,7 +42,7 @@ def wedge_basis(p: int, cardinality: int) -> WedgeBasis:
         raise ValueError("cardinality must be p or p+1")
     order = tuple(combinations(range(2 * p + 1), cardinality))
     assert len(order) == comb(2 * p + 1, cardinality)
-    return WedgeBasis(p, cardinality, order, {s: i for i, s in enumerate(order)})
+    return WedgeBasis(p, cardinality, order)
 
 
 def insert_sign(k: int, subset: WedgeIndex) -> tuple[int, WedgeIndex] | None:

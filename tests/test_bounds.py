@@ -18,10 +18,12 @@ from koszul_rank.bounds import (
     bound_value,
     certify_border_rank,
     crossover,
+    mr_coefficient,
 )
 from koszul_rank.cli import main
 from koszul_rank.exact_linalg import RANK_PRIME, rank_mod
 from koszul_rank.flattening import assemble, flattening_pattern
+from koszul_rank.keylemma import h_value
 from koszul_rank.tensor_core import (
     Tensor3,
     identity_factor,
@@ -43,6 +45,14 @@ def test_formula_examples():
     assert bound_value(kind("landsberg:3"), 100).value == 15400
     assert bound_value(kind("strassen"), 10).value == 150
     assert bound_value(kind("mr_p2_refined"), 24).value == bound_value(kind("blaser"), 24).value
+
+
+def test_mr_coefficient_is_the_abstracts_coefficient():
+    assert [mr_coefficient(p) for p in (1, 2, 3)] == [3, 8, 26]
+    for p in (1, 2, 3, 4):
+        for n in (1, 7, 40):
+            assert h_value(n, p) == n * n - mr_coefficient(p) * n
+            assert bound_value(kind(f"mr:{p}"), n).value == (3 - Fraction(1, p + 1)) * n * n - mr_coefficient(p) * n
 
 
 def test_kind_parsing_and_validation():

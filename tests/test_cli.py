@@ -129,6 +129,25 @@ def test_certify_input_errors(tmp_path, capsys):
     assert run(capsys, "certify", "--p", "1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dims": [2, 2, 2], "entries": [[0, 0, 0, "1/0"]]}',
+        '{"dims": [2, 2, 1e400], "entries": []}',
+        '{"dims": [2, 2, 2], "entries": [[1e400, 0, 0, 1]]}',
+    ],
+    ids=["zero-denominator", "infinite-dims", "infinite-index"],
+)
+def test_certify_bad_numbers_in_tensor_file_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["certify", "--tensor", str(path), "--p", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read tensor file")
+    assert "Traceback" not in err
+
+
 def test_certify_degenerate_exit(tmp_path, capsys):
     path = tmp_path / "m222.json"
     path.write_text(json.dumps(tensor_to_json(matmul_tensor(2, 2, 2))))
@@ -288,6 +307,30 @@ def test_flatten_golden_output(capsys, p, commutators):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FLATTEN_GOLDEN[p, commutators]
+
+
+# sha256 of `flatten --p P [--commutators] --unsigned`, frozen before the
+# symbolic grids were stored by their nonzero cells
+FLATTEN_UNSIGNED_GOLDEN = {
+    ("1", False): "dcae1b797ceb9d6283176af9f3e2e3cc4df0d6698fe54f912c5b6e3226b06d06",
+    ("1", True): "e9389fb4d260d02a839533a78c52bd5de5584794761af8176c2e5450ce87f9bc",
+    ("2", False): "8b00365926189d3431f5df168e883cfba1b847b9e29b4a9de15ad73b9ff5dbd4",
+    ("2", True): "87a5437d6d7515c07bc50768bce4beade20fb281d35b0aff5ea31512f0e8a6f0",
+    ("3", False): "018983ada8cd57256e3e5dc15bb5071ad26f83f6aaa3129c635d647c2a7e2c83",
+    ("3", True): "542c1ba9a503e60cb4b758c0216a42796765333a68f5832ac6750db9051d0b5c",
+    ("4", False): "0cba9af74aeb812add9bbf089dae20a03d36b2771aa822c61d8557bf5a75155d",
+    ("4", True): "10cc2923ef7fe20ba32ba8e7759fc76744c73f8f92b964cbc46535002cacd59b",
+    ("5", False): "992b6530ccfd3ce541e70d027956ae66ea14fd6bdf021b89b6ee6f10a3eb7891",
+    ("5", True): "2f82e109ff99de3e90bad5aed2265e92c3488d804486c905bf29c834300a5d6b",
+}
+
+
+@pytest.mark.parametrize("p, commutators", sorted(FLATTEN_UNSIGNED_GOLDEN))
+def test_flatten_unsigned_golden_output(capsys, p, commutators):
+    argv = ["flatten", "--p", p, "--unsigned"] + (["--commutators"] if commutators else [])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLATTEN_UNSIGNED_GOLDEN[p, commutators]
 
 
 # every argv here is rejected before anything is allocated

@@ -1,6 +1,8 @@
 """Flattening construction, block partition, commutator grid, structure checks."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -85,6 +87,23 @@ def test_nonzero_block_count():
         sym, _ = flattening_pattern(p)
         nonzero = sum(1 for row in sym.labels for label in row if not label.is_zero)
         assert nonzero == comb(2 * p + 1, p + 1) * (p + 1)
+    for p, count in [(5, 2772), (6, 12012)]:
+        sym, _ = flattening_pattern(p)
+        assert sum(map(len, sym.rows)) == comb(2 * p + 1, p + 1) * (p + 1) == count
+
+
+def test_dense_labels_view_matches_the_sparse_rows():
+    # the view fills every absent cell with one shared zero label
+    for p in (1, 2, 3, 4):
+        for sym in (flattening_pattern(p)[0], commutator_pattern(p)):
+            view = sym.labels
+            assert len(view) == sym.block_rows
+            for i, row in enumerate(view):
+                assert len(row) == sym.block_cols
+                for j, label in enumerate(row):
+                    sparse = sym.label(i, j)
+                    assert label == (BlockLabel.zero() if sparse is None else sparse), (p, i, j)
+                    assert label.is_zero == (sparse is None)
 
 
 def test_flattening_is_square_of_expected_size():
@@ -111,11 +130,11 @@ def test_assemble_rejects_non_square_slices():
 def test_assemble_examples():
     rng = random.Random(20)
     fam = family(1, 2, rng)
-    zero_sym = SymbolicBlockMatrix(2, 2, ((BlockLabel.zero(),) * 2,) * 2)
+    zero_sym = SymbolicBlockMatrix(2, 2, ({}, {}))
     assert assemble(zero_sym, fam).is_zero()
-    neg_sym = SymbolicBlockMatrix(1, 1, ((BlockLabel.of_slice(0, -1),),))
+    neg_sym = SymbolicBlockMatrix(1, 1, ({0: BlockLabel.of_slice(0, -1)},))
     assert assemble(neg_sym, fam) == -fam.slices[0]
-    missing = SymbolicBlockMatrix(1, 1, ((BlockLabel.of_slice(5, 1),),))
+    missing = SymbolicBlockMatrix(1, 1, ({0: BlockLabel.of_slice(5, 1)},))
     with pytest.raises(ValueError, match="missing slice"):
         assemble(missing, fam)
 
@@ -130,24 +149,59 @@ def test_assemble_p1_det_equals_commutator_det():
 def test_partition_blocks_shapes():
     for p, q_shape in [(1, (1, 2)), (2, (4, 6)), (3, (15, 20))]:
         sym, layout = flattening_pattern(p)
-        parts = partition_blocks(sym, layout)
-        assert (parts.q.block_rows, parts.q.block_cols) == q_shape
-        assert parts.diag.block_rows == parts.diag.block_cols == comb(2 * p, p)
-        assert (parts.qbar.block_rows, parts.qbar.block_cols) == (q_shape[1], q_shape[0])
+        q, r = partition_blocks(sym, layout)
+        assert (q.block_rows, q.block_cols) == q_shape
+        # the diag(X_0) corner: rows after Q's, columns up to R's
+        assert sym.block_rows - layout.row_split == layout.col_split == comb(2 * p, p)
+        assert (r.block_rows, r.block_cols) == (q_shape[1], q_shape[0])
 
 
 def test_partition_blocks_p1_q_content():
     sym, layout = flattening_pattern(1)
-    parts = partition_blocks(sym, layout)
-    assert parts.q.labels == ((BlockLabel.of_slice(1, 1), BlockLabel.of_slice(2, -1)),)
+    q, _ = partition_blocks(sym, layout)
+    assert q.labels == ((BlockLabel.of_slice(1, 1), BlockLabel.of_slice(2, -1)),)
 
 
 def test_partition_blocks_detects_tampering():
     sym, layout = flattening_pattern(2)
-    grid = [list(row) for row in sym.labels]
-    grid[0][9] = BlockLabel.of_slice(1, 1)  # plant a label in the zero corner
-    bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(tuple(r) for r in grid))
+    rows = [dict(row) for row in sym.rows]
+    rows[0][9] = BlockLabel.of_slice(1, 1)  # plant a label in the zero corner
+    bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(rows))
     with pytest.raises(LayoutError, match="layout mismatch"):
+        partition_blocks(bad, layout)
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        "Q block shape",
+        "pivot block not square",
+        "pivot diagonal not +X0",
+        "pivot block not diagonal",
+        "Q contains a non-slice or X0 label",
+        "R contains a non-slice or X0 label",
+    ],
+)
+def test_partition_blocks_names_each_broken_claim(claim):
+    # break one claim of the p = 2 layout (row_split 4, col_split 6); the
+    # upper right corner is planted in test_partition_blocks_detects_tampering
+    sym, layout = flattening_pattern(2)
+    rows = [dict(row) for row in sym.rows]
+    pivot_row = rows[layout.row_split]
+    if claim == "Q block shape":
+        layout = dataclasses.replace(layout, row_split=layout.row_split + 1)
+    elif claim == "pivot block not square":
+        rows.append({})
+    elif claim == "pivot diagonal not +X0":
+        pivot_row[0] = BlockLabel.of_slice(0, -1)
+    elif claim == "pivot block not diagonal":
+        pivot_row[1] = BlockLabel.of_slice(1, 1)
+    elif claim == "Q contains a non-slice or X0 label":
+        rows[0][0] = BlockLabel.of_slice(0, 1)
+    else:
+        pivot_row[max(pivot_row)] = BlockLabel.of_commutator(1, 2)
+    bad = SymbolicBlockMatrix(len(rows), sym.block_cols, tuple(rows))
+    with pytest.raises(LayoutError, match=re.escape(f"layout mismatch: {claim}")):
         partition_blocks(bad, layout)
 
 
@@ -202,19 +256,25 @@ def test_commutator_pattern_rejects_unbalanced_cell(monkeypatch):
     import koszul_rank.flattening as flattening
 
     sym, layout = flattening_pattern(2)
-    grid = [list(row) for row in sym.labels]
-    row = grid[layout.row_split]
-    c = next(j for j in range(layout.col_split, sym.block_cols) if not row[j].is_zero)
+    rows = [dict(row) for row in sym.rows]
+    row = rows[layout.row_split]
+    c = next(j for j in row if j >= layout.col_split)
     row[c] = -row[c]
-    bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(map(tuple, grid)))
+    bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(rows))
     monkeypatch.setattr(flattening, "flattening_pattern", lambda p: (bad, layout))
+    commutator_pattern.cache_clear()  # a grid built earlier would be served unchecked
     with pytest.raises(StructureError, match=r"structure violation at cell \(\d+,\d+\)"):
         commutator_pattern(2)
 
 
-def test_commutator_pattern_single_cells_up_to_p5():
-    for p in range(1, 6):
-        commutator_pattern(p)  # StructureError would propagate
+def test_commutator_pattern_single_cells_up_to_p6():
+    # building the grid checks every cell (StructureError would propagate);
+    # p = 6 is past the CLI cap
+    for p in range(1, 7):
+        grid = commutator_pattern(p)
+        assert (grid.block_rows, grid.block_cols) == (comb(2 * p, p + 1),) * 2
+        assert grid is commutator_pattern(p)  # built once per p
+    assert [sum(map(len, commutator_pattern(p).rows)) for p in (5, 6)] == [3150, 16632]
 
 
 def test_check_structure_p2():
@@ -289,9 +349,9 @@ def test_commutator_grid_is_negated_block_product():
     for p, n in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         fam = family(p, n, rng)
         sym, layout = flattening_pattern(fam.p)
-        parts = partition_blocks(sym, layout)
-        q_num = assemble(parts.q, fam)
-        qbar_num = assemble(parts.qbar, fam)
+        q, r = partition_blocks(sym, layout)
+        q_num = assemble(q, fam)
+        qbar_num = assemble(r, fam)
         _, grid = commutator_matrix(fam)
         assert q_num * qbar_num == -grid, f"p={p} n={n}"
 
