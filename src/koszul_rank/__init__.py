@@ -30,7 +30,6 @@ from .tensor_core import (
 from .wedge import WedgeBasis, differ_by_one, insert_sign, wedge_basis
 from .flattening import (
     BlockLabel,
-    FlatteningLayout,
     SymbolicBlockMatrix,
     assemble,
     check_structure,

@@ -243,13 +243,15 @@ def certify_border_rank(
     """Max over trials of ceil(rank(flattening) / binom(2p,p)).
 
     Covectors default to random integer vectors with entries in [-9, 9]; an
-    explicit alphas list replaces the random search (single evaluation).  The
+    explicit alphas list, which must be 2p + 1 covectors of length dimA
+    (ValueError otherwise), replaces the random search as a single draw.  The
     result is a valid lower bound for the border rank (hence rank) of the
     tensor: ranks are taken mod RANK_PRIME, which can only under-report them.
     Each rank is m times the rank of the flattening of the reduced tensor
     T' with T = T' (x) Id_m, taken on its Schur complement (see the module
     docstring), which equals the rank of the full flattening.  Trials are
-    indexed, so results are reproducible for a given seed.
+    indexed, so results are reproducible for a given seed; the first draw of
+    the highest rank is kept.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -260,38 +262,33 @@ def certify_border_rank(
     count = 2 * p + 1
     if count > tensor.dim_a:
         raise DegenerateSubspaceError(f"p too large: need 2p+1 <= dimA = {tensor.dim_a}")
+    if alphas is not None:
+        if len(alphas) != count or any(len(a) != tensor.dim_a for a in alphas):
+            raise ValueError(f"need {count} covectors of length dimA = {tensor.dim_a}")
+        draws = [alphas]
+    else:
+        draws = []
+        for index in range(trials):
+            rng = random.Random(_child_seed(seed, index))
+            draws.append([[rng.randint(-9, 9) for _ in range(tensor.dim_a)] for _ in range(count)])
     divisor = math.comb(2 * p, p)
     reduced, copies = identity_factor(tensor)
-
-    def evaluate(alpha_list) -> Optional[tuple[int, tuple]]:
+    ranks, best = [], None
+    for draw in draws:
         try:
-            family = slice_family(reduced, alpha_list)
+            family = slice_family(reduced, draw)
         except ValueError:
-            return None
+            continue  # dependent covectors
         rank = copies * flattening_rank_mod(family)
-        return rank, tuple(tuple(Fraction(x) for x in a) for a in alpha_list)
-
-    if alphas is not None:
-        result = evaluate(list(alphas))
-        if result is None:
-            raise DegenerateSubspaceError("provided covectors are dependent")
-        rank, used = result
-        return Certificate(
-            -(-rank // divisor), rank, divisor, p, seed, 1, used, (rank,), RANK_PRIME
+        ranks.append(rank)
+        if best is None or rank > best[0]:
+            best = rank, draw
+    if best is None:
+        raise DegenerateSubspaceError(
+            "degenerate subspace after all trials" if alphas is None else "provided covectors are dependent"
         )
-
-    def run_trial(index: int):
-        rng = random.Random(_child_seed(seed, index))
-        draw = [[rng.randint(-9, 9) for _ in range(tensor.dim_a)] for _ in range(count)]
-        return evaluate(draw)
-
-    results = [run_trial(i) for i in range(trials)]
-    usable = [(rank, used, i) for i, r in enumerate(results) if r is not None for rank, used in [r]]
-    if not usable:
-        raise DegenerateSubspaceError("degenerate subspace after all trials")
-    best_rank, best_alphas, _ = max(usable, key=lambda t: (t[0], -t[2]))
-    ranks = tuple(rank for rank, _, _ in usable)
+    rank, draw = best
+    used = tuple(tuple(Fraction(x) for x in a) for a in draw)
     return Certificate(
-        -(-best_rank // divisor), best_rank, divisor, p, seed, trials, best_alphas, ranks,
-        RANK_PRIME,
+        -(-rank // divisor), rank, divisor, p, seed, len(draws), used, tuple(ranks), RANK_PRIME
     )

@@ -1,10 +1,11 @@
 """Command-line surface: bounds, crossover, flatten, certify, verify, keylemma.
 
 Every command takes --seed (default 0) and echoes it in the output; identical
-invocations produce byte-identical output.  Table formats: md (default), csv,
-json.  Exit codes: 0 success, 1 check failure, 2 input error, 3 degenerate
-computation.  Input beyond the size caps below (MAX_SYMBOLIC_P for flatten
-and verify --p) exits 2 before anything is allocated.
+invocations produce byte-identical output.  bounds, crossover and verify take
+--format: md (default), csv or json.  Exit codes: 0 success, 1 check failure,
+2 input error, 3 degenerate computation.  Input beyond the size caps below
+(MAX_SYMBOLIC_P for flatten and verify --p) and keylemma --p outside {1, 2}
+exit 2 before anything is allocated.
 
 certify caps the dense flattening side comb(2p+1, p) * dimB even though a
 matrix multiplication tensor M_{n,l,m} is certified on its reduced
@@ -116,9 +117,11 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
+    """--seed and --output; --format too for the commands that read it."""
     parser.add_argument("--seed", type=int, default=0, help="root seed (echoed in output)")
-    parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    if formats:
+        parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
@@ -195,17 +198,13 @@ def _cmd_flatten(args) -> int:
         xs = tuple(random_int_matrix(rng, n, n) for _ in range(2 * args.p))
         family = SliceFamily(args.p, n, n, (ExactMatrix.identity(n), *xs))
         if args.commutators:
-            _, numeric = commutator_matrix(family)
+            numeric = commutator_matrix(family)
         else:
-            sym, _ = flattening_pattern(args.p)
-            numeric = assemble(sym, family)
+            numeric = assemble(flattening_pattern(args.p), family)
         payload = {"seed": args.seed, "p": args.p, "n": n, "matrix": matrix_to_json(numeric)}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
         return EXIT_OK
-    if args.commutators:
-        sym = commutator_pattern(args.p)
-    else:
-        sym, _ = flattening_pattern(args.p)
+    sym = commutator_pattern(args.p) if args.commutators else flattening_pattern(args.p)
     _emit(dump_symbolic(sym, signed=not args.unsigned), args.output)
     return EXIT_OK
 
@@ -299,9 +298,11 @@ def _cmd_verify(args) -> int:
 def _cmd_keylemma(args) -> int:
     if not 2 <= args.n <= MAX_KEYLEMMA_N:
         return _input_error(f"--n must be in 2..{MAX_KEYLEMMA_N}")
+    if args.p not in (1, 2):
+        return _input_error("--p must be 1 or 2 (pipeline implemented for p in {1, 2})")
     try:
         witness = key_lemma_search(args.n, args.p, seed=args.seed)
-    except (KeyLemmaStageError, NotImplementedError, ValueError) as exc:
+    except (KeyLemmaStageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     payload = {
@@ -335,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n", type=int, required=True)
     p_bounds.add_argument("--m", type=int, default=None)
     p_bounds.add_argument("--p", type=int, default=3, help="max p for parametric kinds")
-    _add_common(p_bounds)
+    _add_common(p_bounds, formats=True)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_cross = sub.add_parser("crossover", help="first n where bound a >= bound b")
     p_cross.add_argument("--a", required=True, help="bound kind, e.g. mr:3")
     p_cross.add_argument("--b", required=True)
     p_cross.add_argument("--n-max", type=int, default=1000)
-    _add_common(p_cross)
+    _add_common(p_cross, formats=True)
     p_cross.set_defaults(func=_cmd_crossover)
 
     p_flat = sub.add_parser("flatten", help="dump symbolic or numeric flattening")
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=0)
     p_verify.add_argument("--p", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=0)
-    _add_common(p_verify)
+    _add_common(p_verify, formats=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_key = sub.add_parser("keylemma", help="run the staged witness pipeline")

@@ -7,7 +7,10 @@ block matrix of the skew-symmetrized contraction map, with
   columns indexed by (p+1)-subsets I, those containing 0 first,
   block (J, I) = insert_sign(k, J) * (-1)^k * X_k  when I = J u {k}, else 0,
 
-lexicographic order inside each part.  In this ordering the matrix is
+lexicographic order inside each part.  This layout is a function of p
+alone, so nothing carries it beside the grid: flattening_pattern(p) orders
+the subsets, and partition_blocks(sym, p) splits at the binomials below.
+In this ordering the matrix is
 
       [ Q   0 ]     rows split (binom(2p,p+1), binom(2p,p)) blocks,
       [ D   R ]     cols split (binom(2p,p),   binom(2p,p+1)) blocks,
@@ -27,6 +30,7 @@ ExactMatrix, assemble_mod a commutator grid's int rows mod a prime (for
 flattening_rank_mod and the key lemma's stage 3), filling absent cells with
 one shared zero block.  SymbolicBlockMatrix.labels is a dense read-only view,
 with BlockLabel.zero() in every absent cell, for callers that walk every cell.
+Each stored row is a read-only mapping, so a shared grid cannot be altered.
 
 The printed reference patterns for p = 1, 2, 3 are hardcoded below as token
 grids; verify --suite p3 and the tests compare the constructed grids to them.
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .exact_linalg import (
     RANK_PRIME,
@@ -53,7 +58,7 @@ from .exact_linalg import (
     reduce_mod,
 )
 from .tensor_core import SliceFamily
-from .wedge import WedgeIndex, insert_sign, wedge_basis
+from .wedge import insert_sign, wedge_basis
 
 # Desk-scale limit of the symbolic grids: the p = 5 commutator grid is
 # 210 x 210 cells; the CLI rejects larger p.
@@ -135,18 +140,20 @@ class SymbolicBlockMatrix:
     """Rectangular grid of block labels, stored by its nonzero cells.
 
     rows[i] maps each column j of a nonzero block (i, j) to its label, in
-    increasing j; a zero block is absent.
+    increasing j; a zero block is absent.  Each row is stored as a read-only
+    view of a copy of the given mapping.
     """
 
     block_rows: int
     block_cols: int
-    rows: tuple[dict[int, BlockLabel], ...]
+    rows: tuple[Mapping[int, BlockLabel], ...]
 
     def __post_init__(self):
         if len(self.rows) != self.block_rows or any(
             not 0 <= j < self.block_cols for row in self.rows for j in row
         ):
             raise ValueError("label grid shape mismatch")
+        object.__setattr__(self, "rows", tuple(MappingProxyType(dict(row)) for row in self.rows))
 
     def label(self, i: int, j: int) -> Optional[BlockLabel]:
         """The label of block (i, j), or None for a zero block."""
@@ -172,46 +179,20 @@ class SymbolicBlockMatrix:
         )
 
 
-@dataclass(frozen=True)
-class FlatteningLayout:
-    """Row/column subset orderings of the flattening grid.
-
-    Rows are the p-subsets (containing 0 first), columns the (p+1)-subsets
-    (containing 0 first); row_split and col_split are the sizes of the
-    containing-0 parts, so the Q block occupies rows[:row_split] and the
-    diag(X_0) block rows[row_split:] x cols[:col_split].
-    """
-
-    p: int
-    row_subsets: tuple[WedgeIndex, ...]
-    col_subsets: tuple[WedgeIndex, ...]
-    row_split: int
-    col_split: int
-
-
-def flattening_layout(p: int) -> FlatteningLayout:
-    rows_with, rows_without = wedge_basis(p, p).split_on_zero()
-    cols_with, cols_without = wedge_basis(p, p + 1).split_on_zero()
-    return FlatteningLayout(
-        p=p,
-        row_subsets=tuple(rows_with + rows_without),
-        col_subsets=tuple(cols_with + cols_without),
-        row_split=len(rows_with),
-        col_split=len(cols_with),
-    )
-
-
-def _flattening_labels(layout: FlatteningLayout) -> tuple[dict[int, BlockLabel], ...]:
+def _flattening_labels(p: int) -> tuple[dict[int, BlockLabel], ...]:
     """Row J holds +-X_k at column J u {k} for each k not in J.
 
-    Within a row the columns J u {k} increase with k, so each row comes out
-    in column order.
+    Rows are the p-subsets and columns the (p+1)-subsets of {0..2p}, those
+    containing 0 first.  Within a row the columns J u {k} increase with k,
+    so each row comes out in column order.
     """
-    column_of = {subset: j for j, subset in enumerate(layout.col_subsets)}
+    rows_with, rows_without = wedge_basis(p, p).split_on_zero()
+    cols_with, cols_without = wedge_basis(p, p + 1).split_on_zero()
+    column_of = {subset: j for j, subset in enumerate(cols_with + cols_without)}
     grid = []
-    for row_subset in layout.row_subsets:
+    for row_subset in rows_with + rows_without:
         row = {}
-        for k in range(2 * layout.p + 1):
+        for k in range(2 * p + 1):
             wedge = insert_sign(k, row_subset)
             if wedge is not None:
                 sign, merged = wedge
@@ -220,11 +201,10 @@ def _flattening_labels(layout: FlatteningLayout) -> tuple[dict[int, BlockLabel],
     return tuple(grid)
 
 
-def flattening_pattern(p: int):
-    """Symbolic flattening grid and its layout for generic slice labels."""
-    layout = flattening_layout(p)
-    size = len(layout.row_subsets)
-    return SymbolicBlockMatrix(size, size, _flattening_labels(layout)), layout
+def flattening_pattern(p: int) -> SymbolicBlockMatrix:
+    """Symbolic flattening grid for generic slice labels."""
+    rows = _flattening_labels(p)
+    return SymbolicBlockMatrix(len(rows), len(rows), rows)
 
 
 def _unsigned_matrix(label: BlockLabel, slices: SliceFamily) -> ExactMatrix:
@@ -283,18 +263,14 @@ def assemble_mod(pattern: SymbolicBlockMatrix, commutators: dict, n: int, prime:
     return out
 
 
-def partition_blocks(
-    sym: SymbolicBlockMatrix, layout: FlatteningLayout
-) -> tuple[SymbolicBlockMatrix, SymbolicBlockMatrix]:
-    """The Q and R corners of the Q / 0 / diag(X_0) / R layout, checking each claim.
+def partition_blocks(sym: SymbolicBlockMatrix, p: int) -> tuple[SymbolicBlockMatrix, SymbolicBlockMatrix]:
+    """The Q and R corners of the Q / 0 / diag(X_0) / R layout at p, checking each claim.
 
     Q is binom(2p,p+1) x binom(2p,p) blocks of signed X_1..X_2p; the upper
     right corner is identically zero; the lower left is +diag(X_0); R holds
     signed X_1..X_2p.  One pass over the nonzero cells checks all of it.
     """
-    rs, cs, p = layout.row_split, layout.col_split, layout.p
-    if (rs, cs) != (comb(2 * p, p + 1), comb(2 * p, p)):
-        raise LayoutError("layout mismatch: Q block shape")
+    rs, cs = comb(2 * p, p + 1), comb(2 * p, p)
     if sym.block_rows - rs != cs:
         raise LayoutError("layout mismatch: pivot block not square")
     pivot = BlockLabel.of_slice(0, 1)
@@ -330,8 +306,7 @@ def commutator_pattern(p: int) -> SymbolicBlockMatrix:
     single commutator (a sum of two or more distinct commutators, or
     unbalanced coefficients).
     """
-    sym, layout = flattening_pattern(p)
-    q, r = partition_blocks(sym, layout)
+    q, r = partition_blocks(flattening_pattern(p), p)
     # Column t of Q (subset {0} u J') aligns with row t of R (subset J'):
     # lex order is preserved by J' -> {0} u J', so plain index alignment works.
     grid = []
@@ -373,8 +348,8 @@ def normalize_pivot(slices: SliceFamily) -> SliceFamily:
     return SliceFamily(slices.p, slices.b, slices.c, new)
 
 
-def commutator_matrix(slices: SliceFamily):
-    """Symbolic and numeric Schur-complement commutator grid.
+def commutator_matrix(slices: SliceFamily) -> ExactMatrix:
+    """The assembled Schur-complement commutator grid.
 
     Requires X_0 = Id; use normalize_pivot first when X_0 is merely invertible.
     With X_0 = Id, det(assembled flattening) equals det of this matrix.
@@ -383,8 +358,7 @@ def commutator_matrix(slices: SliceFamily):
         raise ValueError("non-square slices")
     if slices.slices[0] != ExactMatrix.identity(slices.b):
         raise ValueError("normalize first")
-    sym = commutator_pattern(slices.p)
-    return sym, assemble(sym, slices)
+    return assemble(commutator_pattern(slices.p), slices)
 
 
 def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
@@ -401,7 +375,7 @@ def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
     a grid binom(2p, p+1) * b wide instead of binom(2p+1, p) * b, built and
     ranked as int rows mod prime.  Otherwise the dense flattening is
     assembled and ranked.  Either way the value equals
-    rank_mod(assemble(flattening_pattern(p)[0], slices), prime).
+    rank_mod(assemble(flattening_pattern(p), slices), prime).
     """
     if slices.b != slices.c:
         raise ValueError("non-square slices")
@@ -409,8 +383,7 @@ def flattening_rank_mod(slices: SliceFamily, prime: int = RANK_PRIME) -> int:
     reduced = [reduce_mod(x, prime) for x in slices.slices]
     x0_inv = None if any(x is None for x in reduced) else invert_mod(reduced[0], prime)
     if x0_inv is None:
-        sym, _ = flattening_pattern(p)
-        return rank_mod(assemble(sym, slices), prime)
+        return rank_mod(assemble(flattening_pattern(p), slices), prime)
     xs = [None] + [mul_mod(x0_inv, x, prime) for x in reduced[1:]]
     pairs = combinations(range(1, 2 * p + 1), 2)
     commutators = {(i, j): commutator_mod(xs[i], xs[j], prime) for i, j in pairs}

@@ -79,6 +79,10 @@ from .flattening import (
 )
 from .tensor_core import SliceFamily
 
+# Random points tried per candidate support before it is rejected; the first
+# full-support test tries twice as many, and each escalation round 8 times more.
+_SAMPLE_BUDGET = 4
+
 
 class KeyLemmaStageError(RuntimeError):
     """A pipeline stage failed its nonzero search; the message names the stage."""
@@ -108,7 +112,6 @@ class SupportWitness:
 def support_restriction_search(
     poly: PolynomialEvaluator,
     seed: int = 0,
-    sample_budget: int = 4,
     stop_at: Optional[int] = None,
 ) -> SupportWitness:
     """Greedy support shrinking with randomized nonzero tests.
@@ -139,12 +142,12 @@ def support_restriction_search(
         return None
 
     support = list(range(poly.arity))
-    found = sample(support, sample_budget * 2)
+    found = sample(support, _SAMPLE_BUDGET * 2)
     if found is None:
         raise KeyLemmaStageError("polynomial appears identically zero (probabilistic)")
     point, value = found
 
-    budget = sample_budget
+    budget = _SAMPLE_BUDGET
     for _round in range(3):
         progress = True
         while progress and not (stop_at is not None and len(support) <= stop_at):
@@ -254,8 +257,7 @@ def generic_nonvanishing(n: int, p: int, seed: int = 0, trials: int = 5) -> Nonv
             grid[n - 1][n - 1] -= trace  # integer traceless sampling
             xs.append(ExactMatrix(grid))
         family = SliceFamily(p, n, n, (ExactMatrix.identity(n), *xs))
-        _, numeric = commutator_matrix(family)
-        value = det_exact(numeric)
+        value = det_exact(commutator_matrix(family))
         if value != 0:
             return NonvanishingReport(True, family, t + 1, seed, value)
     return NonvanishingReport(False, None, trials, seed, None)
@@ -355,8 +357,7 @@ def _grid_det(alphas: tuple[ExactMatrix, ...], n: int, p: int) -> Fraction:
         raise ValueError("alphas are linearly dependent")
     if det_exact(alphas[0]) == 0:
         raise ValueError("alpha^0 is singular")
-    _, numeric = commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas)))
-    value = det_exact(numeric)
+    value = det_exact(commutator_matrix(normalize_pivot(SliceFamily(p, n, n, alphas))))
     if value == 0:
         raise ValueError("commutator grid determinant vanishes")
     return value

@@ -58,9 +58,9 @@ def test_criterion_02_p2_determinant_factorization():
 
 
 def test_criterion_03_pattern_fidelity():
-    sym1, _ = flattening_pattern(1)
+    sym1 = flattening_pattern(1)
     assert sym1.same_pattern(reference_pattern(1)), "p=1 grid differs from transcription"
-    sym2, _ = flattening_pattern(2)
+    sym2 = flattening_pattern(2)
     assert sym2.same_pattern(reference_pattern(2)), "p=2 grid differs from transcription"
     assert commutator_pattern(3).same_pattern(reference_pattern(3), signed=False), (
         "p=3 commutator grid differs from transcription"

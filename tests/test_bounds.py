@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koszul_rank import exact_linalg, flattening
+from koszul_rank import bounds, exact_linalg, flattening
 from koszul_rank.bounds import (
     BoundKind,
     Certificate,
@@ -200,7 +200,7 @@ def test_certificate_rational_tensor_matches_oracle():
 
 def dense_rank(tensor, p, alphas):
     """rank_mod of the full flattening, without splitting off Id_m."""
-    sym, _ = flattening_pattern(p)
+    sym = flattening_pattern(p)
     return rank_mod(assemble(sym, slice_family(tensor, alphas)))
 
 
@@ -357,6 +357,18 @@ def test_certificate_explicit_alphas():
     assert certificate.bound >= 4
     with pytest.raises(DegenerateSubspaceError, match="dependent"):
         certify_border_rank(tensor, 1, alphas=[[1, 0, 0, 1]] * 3)
+
+
+@pytest.mark.parametrize("count, length", [(5, 9), (7, 9), (3, 8)])
+def test_certify_rejects_covectors_of_the_wrong_shape(monkeypatch, count, length):
+    # 5 or 7 independent covectors at p = 1 would rank the p = 2 or p = 3
+    # flattening of M_3 and divide by C(2, 1): bounds 45 and 135, above
+    # Laderman's rank 23; a short covector is no covector of dimA = 9 either
+    monkeypatch.setattr(bounds, "flattening_rank_mod", lambda *args: pytest.fail("ranked"))
+    rng = random.Random(51)
+    draw = [[rng.randint(-9, 9) for _ in range(length)] for _ in range(count)]
+    with pytest.raises(ValueError, match="need 3 covectors of length dimA = 9"):
+        certify_border_rank(matmul_tensor(3, 3, 3), 1, alphas=draw)
 
 
 def test_certificate_needs_a_trial():

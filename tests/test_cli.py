@@ -361,6 +361,8 @@ def test_flatten_unsigned_golden_output(capsys, p, commutators):
         ("bounds", "--n", "5", "--p", "-1"),
         ("bounds", "--n", "5", "--p", str(MAX_BOUNDS_P + 1)),
         ("bounds", "--n", "5", "--p", "8000"),
+        ("keylemma", "--n", "4", "--p", "3"),
+        ("keylemma", "--n", "4", "--p", "0"),
     ],
 )
 def test_bad_or_oversized_input_exits_2(capsys, argv):
@@ -369,6 +371,31 @@ def test_bad_or_oversized_input_exits_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--matmul", "3,3,3", "--p", "2"),
+        ("keylemma", "--n", "4", "--p", "2"),
+        ("flatten", "--p", "2"),
+    ],
+)
+def test_format_is_an_error_where_no_table_is_printed(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_format_is_taken_by_the_table_commands(capsys):
+    for argv in (
+        ("bounds", "--n", "5"),
+        ("crossover", "--a", "mr:2", "--b", "blaser", "--n-max", "40"),
+        ("verify", "--suite", "p3"),
+    ):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["seed"] == 0, argv
 
 
 @pytest.mark.parametrize("dims, p", [([3, 100000, 100000], "1"), ([5, 101, 101], "2")])

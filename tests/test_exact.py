@@ -353,7 +353,7 @@ def test_fraction_free_kernel_matches_the_oracles(rows):
 
 @pytest.mark.parametrize("p, n", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_det_of_flattening_with_identity_pivot_slice_matches_oracle(p, n):
-    sym, _ = flattening_pattern(p)
+    sym = flattening_pattern(p)
     rng = random.Random(1000 * p + n)
     xs = tuple(random_int_matrix(rng, n, n) for _ in range(2 * p))
     family = SliceFamily(p, n, n, (ExactMatrix.identity(n), *xs))

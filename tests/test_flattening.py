@@ -1,6 +1,5 @@
 """Flattening construction, block partition, commutator grid, structure checks."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -65,7 +64,7 @@ def pattern_tokens(sym, signed=True):
 
 def test_pattern_matches_reference_p1_p2():
     for p in (1, 2):
-        sym, _ = flattening_pattern(p)
+        sym = flattening_pattern(p)
         assert sym.same_pattern(reference_pattern(p)), f"p={p}"
 
 
@@ -84,18 +83,34 @@ def test_reference_pattern_rejects_other_p():
 
 def test_nonzero_block_count():
     for p in (1, 2, 3, 4):
-        sym, _ = flattening_pattern(p)
+        sym = flattening_pattern(p)
         nonzero = sum(1 for row in sym.labels for label in row if not label.is_zero)
         assert nonzero == comb(2 * p + 1, p + 1) * (p + 1)
     for p, count in [(5, 2772), (6, 12012)]:
-        sym, _ = flattening_pattern(p)
+        sym = flattening_pattern(p)
         assert sum(map(len, sym.rows)) == comb(2 * p + 1, p + 1) * (p + 1) == count
+
+
+def test_cached_commutator_grid_is_read_only():
+    grid = commutator_pattern(2)
+    row = grid.rows[0]
+    with pytest.raises(TypeError):
+        row[0] = BlockLabel.of_commutator(1, 2)
+    with pytest.raises(TypeError):
+        del row[next(iter(row))]
+    assert commutator_pattern(2) is grid
+    assert grid.same_pattern(commutator_pattern.__wrapped__(2))
+    # the rows are copies: the mapping handed to the constructor stays the caller's
+    given = {0: BlockLabel.of_slice(1)}
+    sym = SymbolicBlockMatrix(1, 1, (given,))
+    given[0] = BlockLabel.of_slice(2)
+    assert sym.label(0, 0) == BlockLabel.of_slice(1)
 
 
 def test_dense_labels_view_matches_the_sparse_rows():
     # the view fills every absent cell with one shared zero label
     for p in (1, 2, 3, 4):
-        for sym in (flattening_pattern(p)[0], commutator_pattern(p)):
+        for sym in (flattening_pattern(p), commutator_pattern(p)):
             view = sym.labels
             assert len(view) == sym.block_rows
             for i, row in enumerate(view):
@@ -108,21 +123,20 @@ def test_dense_labels_view_matches_the_sparse_rows():
 
 def test_flattening_is_square_of_expected_size():
     for p in (1, 2, 3):
-        sym, layout = flattening_pattern(p)
+        sym = flattening_pattern(p)
         assert sym.block_rows == sym.block_cols == comb(2 * p + 1, p)
-        assert len(layout.row_subsets) == len(layout.col_subsets)
 
 
 def test_flattening_rows_share_one_zero_label():
     for p in (1, 2, 3):
-        sym, _ = flattening_pattern(p)
+        sym = flattening_pattern(p)
         for row in sym.labels:
             assert len({id(label) for label in row if label.is_zero}) == 1, f"p={p}"
 
 
 def test_assemble_rejects_non_square_slices():
     bad = SliceFamily(1, 2, 3, tuple(ExactMatrix.zeros(2, 3) for _ in range(3)))
-    sym, _ = flattening_pattern(bad.p)
+    sym = flattening_pattern(bad.p)
     with pytest.raises(ValueError, match="non-square"):
         assemble(sym, bad)
 
@@ -142,39 +156,37 @@ def test_assemble_examples():
 def test_assemble_p1_det_equals_commutator_det():
     rng = random.Random(21)
     fam = family(1, 2, rng)
-    sym, _ = flattening_pattern(fam.p)
+    sym = flattening_pattern(fam.p)
     assert det_exact(assemble(sym, fam)) == det_exact(commutator(fam.slices[1], fam.slices[2]))
 
 
 def test_partition_blocks_shapes():
     for p, q_shape in [(1, (1, 2)), (2, (4, 6)), (3, (15, 20))]:
-        sym, layout = flattening_pattern(p)
-        q, r = partition_blocks(sym, layout)
+        sym = flattening_pattern(p)
+        q, r = partition_blocks(sym, p)
         assert (q.block_rows, q.block_cols) == q_shape
         # the diag(X_0) corner: rows after Q's, columns up to R's
-        assert sym.block_rows - layout.row_split == layout.col_split == comb(2 * p, p)
+        assert sym.block_rows - q.block_rows == sym.block_cols - r.block_cols == comb(2 * p, p)
         assert (r.block_rows, r.block_cols) == (q_shape[1], q_shape[0])
 
 
 def test_partition_blocks_p1_q_content():
-    sym, layout = flattening_pattern(1)
-    q, _ = partition_blocks(sym, layout)
+    q, _ = partition_blocks(flattening_pattern(1), 1)
     assert q.labels == ((BlockLabel.of_slice(1, 1), BlockLabel.of_slice(2, -1)),)
 
 
 def test_partition_blocks_detects_tampering():
-    sym, layout = flattening_pattern(2)
+    sym = flattening_pattern(2)
     rows = [dict(row) for row in sym.rows]
     rows[0][9] = BlockLabel.of_slice(1, 1)  # plant a label in the zero corner
     bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(rows))
     with pytest.raises(LayoutError, match="layout mismatch"):
-        partition_blocks(bad, layout)
+        partition_blocks(bad, 2)
 
 
 @pytest.mark.parametrize(
     "claim",
     [
-        "Q block shape",
         "pivot block not square",
         "pivot diagonal not +X0",
         "pivot block not diagonal",
@@ -183,14 +195,12 @@ def test_partition_blocks_detects_tampering():
     ],
 )
 def test_partition_blocks_names_each_broken_claim(claim):
-    # break one claim of the p = 2 layout (row_split 4, col_split 6); the
-    # upper right corner is planted in test_partition_blocks_detects_tampering
-    sym, layout = flattening_pattern(2)
+    # break one claim of the p = 2 layout (Q is 4 x 6 blocks); the upper
+    # right corner is planted in test_partition_blocks_detects_tampering
+    sym = flattening_pattern(2)
     rows = [dict(row) for row in sym.rows]
-    pivot_row = rows[layout.row_split]
-    if claim == "Q block shape":
-        layout = dataclasses.replace(layout, row_split=layout.row_split + 1)
-    elif claim == "pivot block not square":
+    pivot_row = rows[comb(4, 3)]
+    if claim == "pivot block not square":
         rows.append({})
     elif claim == "pivot diagonal not +X0":
         pivot_row[0] = BlockLabel.of_slice(0, -1)
@@ -202,7 +212,7 @@ def test_partition_blocks_names_each_broken_claim(claim):
         pivot_row[max(pivot_row)] = BlockLabel.of_commutator(1, 2)
     bad = SymbolicBlockMatrix(len(rows), sym.block_cols, tuple(rows))
     with pytest.raises(LayoutError, match=re.escape(f"layout mismatch: {claim}")):
-        partition_blocks(bad, layout)
+        partition_blocks(bad, 2)
 
 
 def test_commutator_pattern_p1_is_single_commutator():
@@ -232,9 +242,9 @@ def test_det_factorization_p1_p2():
     for p in (1, 2):
         for n in (2, 3):
             fam = family(p, n, rng)
-            sym, _ = flattening_pattern(fam.p)
+            sym = flattening_pattern(fam.p)
             big = det_exact(assemble(sym, fam))
-            _, grid = commutator_matrix(fam)
+            grid = commutator_matrix(fam)
             assert big == det_exact(grid), f"p={p} n={n}"
 
 
@@ -242,7 +252,7 @@ def test_flattening_rank_invariant_under_conjugation():
     rng = random.Random(24)
     n, p = 2, 1
     fam = family(p, n, rng, identity_pivot=False)
-    sym, _ = flattening_pattern(fam.p)
+    sym = flattening_pattern(fam.p)
     base_rank = rank_exact(assemble(sym, fam))
     g = random_invertible(rng, n)
     g_inv = invert(g)
@@ -255,13 +265,13 @@ def test_commutator_pattern_rejects_unbalanced_cell(monkeypatch):
     # same sign, which is no commutator
     import koszul_rank.flattening as flattening
 
-    sym, layout = flattening_pattern(2)
+    sym = flattening_pattern(2)
     rows = [dict(row) for row in sym.rows]
-    row = rows[layout.row_split]
-    c = next(j for j in row if j >= layout.col_split)
+    row = rows[comb(4, 3)]  # the first diag(X_0) row
+    c = next(j for j in row if j >= comb(4, 2))  # its first R block
     row[c] = -row[c]
     bad = SymbolicBlockMatrix(sym.block_rows, sym.block_cols, tuple(rows))
-    monkeypatch.setattr(flattening, "flattening_pattern", lambda p: (bad, layout))
+    monkeypatch.setattr(flattening, "flattening_pattern", lambda p: bad)
     commutator_pattern.cache_clear()  # a grid built earlier would be served unchecked
     with pytest.raises(StructureError, match=r"structure violation at cell \(\d+,\d+\)"):
         commutator_pattern(2)
@@ -312,7 +322,7 @@ def test_check_structure_rejects_out_of_range_p():
 
 def test_dump_parse_roundtrip():
     for p in (1, 2):
-        sym, _ = flattening_pattern(p)
+        sym = flattening_pattern(p)
         assert parse_symbolic(dump_symbolic(sym)).same_pattern(sym)
     grid = commutator_pattern(2)
     assert parse_symbolic(dump_symbolic(grid)).same_pattern(grid)
@@ -336,7 +346,7 @@ def test_flattening_rank_matches_oracle_on_random_tensors():
             fam = slice_family(tensor, alphas)
         except ValueError:
             continue  # dependent draw; skip
-        sym, _ = flattening_pattern(fam.p)
+        sym = flattening_pattern(fam.p)
         lib_rank = rank_exact(assemble(sym, fam))
         oracle_rank = gauss_rank(koszul_matrix(tensor, [[*map(int, a)] for a in alphas]))
         assert lib_rank == oracle_rank, f"trial {trial}"
@@ -348,11 +358,10 @@ def test_commutator_grid_is_negated_block_product():
     rng = random.Random(28)
     for p, n in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         fam = family(p, n, rng)
-        sym, layout = flattening_pattern(fam.p)
-        q, r = partition_blocks(sym, layout)
+        q, r = partition_blocks(flattening_pattern(fam.p), fam.p)
         q_num = assemble(q, fam)
         qbar_num = assemble(r, fam)
-        _, grid = commutator_matrix(fam)
+        grid = commutator_matrix(fam)
         assert q_num * qbar_num == -grid, f"p={p} n={n}"
 
 
@@ -364,7 +373,7 @@ def test_p1_rank_splits_as_2b_plus_commutator_rank():
     for trial in range(12):
         n = rng.randint(2, 4)
         fam = family(1, n, rng, identity_pivot=False)
-        sym, _ = flattening_pattern(fam.p)
+        sym = flattening_pattern(fam.p)
         total = rank_exact(assemble(sym, fam))
         x0_inv = invert(fam.slices[0])
         comm_rank = rank_exact(commutator(x0_inv * fam.slices[1], x0_inv * fam.slices[2]))
@@ -376,7 +385,7 @@ def test_strassen_identity_thirty_trials():
     for n in (2, 3):
         for trial in range(30):
             fam = family(1, n, rng)
-            sym, _ = flattening_pattern(fam.p)
+            sym = flattening_pattern(fam.p)
             lhs = abs(det_exact(assemble(sym, fam)))
             rhs = abs(det_exact(commutator(fam.slices[1], fam.slices[2])))
             assert lhs == rhs, f"n={n} trial={trial}"
@@ -388,7 +397,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 def dense_rank_mod(fam):
-    sym, _ = flattening_pattern(fam.p)
+    sym = flattening_pattern(fam.p)
     return rank_mod(assemble(sym, fam))
 
 
@@ -446,7 +455,7 @@ def test_schur_rank_equals_dense_rank_on_small_tensors(case, prime):
     except ValueError:
         assume(False)  # dependent covectors
     rank = flattening_rank_mod(fam, prime)
-    assert rank == rank_mod(assemble(flattening_pattern(fam.p)[0], fam), prime)
+    assert rank == rank_mod(assemble(flattening_pattern(fam.p), fam), prime)
     if fam.p == 1 and prime == RANK_PRIME:
         assert rank == gauss_rank(koszul_matrix(tensor, alphas))
 
@@ -457,7 +466,7 @@ def test_schur_rank_ranks_only_the_commutator_grid(monkeypatch):
         fam = family(p, n, rng, identity_pivot=False)
         rank, sides = ranked_sides(monkeypatch, fam)
         assert sides == [comb(2 * p, p + 1) * n]
-        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p), fam))
 
 
 def test_schur_rank_builds_no_exact_matrix(monkeypatch):
@@ -521,7 +530,7 @@ def test_schur_rank_of_a_family_that_commutes_after_normalization():
         assert commutator(fam.slices[1], fam.slices[2]) != ExactMatrix.zeros(n, n)
         rank = flattening_rank_mod(fam)
         assert rank == comb(2 * p, p) * n
-        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p), fam))
 
 
 @pytest.mark.parametrize(
@@ -553,13 +562,13 @@ def test_schur_rank_on_rational_slices_matches_dense_rank(monkeypatch):
         assert det_exact(xs[0]) != 0
         rank, sides = ranked_sides(monkeypatch, fam)
         assert sides == [comb(2 * p, p + 1) * 3]
-        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p)[0], fam))
+        assert rank == dense_rank_mod(fam) == rank_exact(assemble(flattening_pattern(p), fam))
 
 
 def test_assemble_shares_one_zero_block_and_one_negation_per_label(monkeypatch):
     rng = random.Random(45)
     fam = family(2, 2, rng, identity_pivot=False)
-    sym, _ = flattening_pattern(2)
+    sym = flattening_pattern(2)
     grid = commutator_pattern(2)
     expected = ExactMatrix.from_blocks(
         [
