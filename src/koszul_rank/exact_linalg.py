@@ -20,7 +20,8 @@ division; its docstring lists the rules.
 
 Beside Bareiss sits the one residue core on plain int rows mod a prime
 (default RANK_PRIME = 2^61 - 1): reduce_mod maps a matrix to its entrywise
-residues, invert_mod, mul_mod and commutator_mod work on the rows, and
+residues, invert_mod, mul_mod and commutator_mod work on the rows,
+linear_map_mod tabulates an affine map of one n x n grid as packed ints, and
 rank_mod_rows and det_mod_rows row-echelon them.  rank_mod and det_mod are
 the ExactMatrix entry points on its integer-scaled copy.  Both are sound in
 one direction only.  rank_mod never exceeds the exact rank, so it may stand
@@ -54,8 +55,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain
+from operator import add, mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
 
@@ -395,6 +397,71 @@ def commutator_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], prime
         ]
         for x_row, y_row in zip(x, y)
     ]
+
+
+Grid = Sequence[Sequence[int]]
+
+
+def linear_map_mod(
+    n: int,
+    blocks: int,
+    terms: Sequence[tuple[int, int, int, Optional[Grid], Optional[Grid]]],
+    constants: Sequence[tuple[int, int, int, Grid]] = (),
+    prime: int = RANK_PRIME,
+) -> Callable[[Grid], list[list[int]]]:
+    """The affine map V -> sum of sign * P V Q plus constants, tabulated once, mod prime.
+
+    V is an n x n grid with entries in [0, prime).  The image is a grid of
+    blocks x blocks n x n blocks: each term (I, J, sign, P, Q) adds
+    sign * P V Q to block (I, J), with None for an identity factor, and each
+    constant (I, J, sign, C) adds sign * C.  The image of each matrix unit
+    E_ab is reduced into [0, prime) and packed into one int, in slots of
+    2 bits(prime) + bits(n^2) + 1 bits rounded up to whole bytes.  A sum of
+    n^2 products of two residues plus a residue fits in a slot, so the
+    returned function costs one multiply-add per entry of V and one
+    unpacking mod prime, and returns the rows of the image.
+    """
+    side = blocks * n
+    width = (2 * prime.bit_length() + (n * n).bit_length() + 8) // 8
+
+    def add_row(image: list[int], block_row: int, block_col: int, i: int, values: list[int]) -> None:
+        start = (block_row * n + i) * side + block_col * n
+        image[start : start + n] = map(add, image[start : start + n], values)
+
+    def pack(image: list[int]) -> int:
+        return int.from_bytes(b"".join([(v % prime).to_bytes(width, "little") for v in image]), "little")
+
+    base = [0] * (side * side)  # row-major, like every image
+    for block_row, block_col, sign, rows in constants:
+        for i, row in enumerate(rows):
+            add_row(base, block_row, block_col, i, [sign * v for v in row])
+    table = []
+    for a in range(n):
+        for b in range(n):
+            image = [0] * (side * side)
+            for block_row, block_col, sign, left, right in terms:
+                # P E_ab Q is column a of P times row b of Q
+                if left is None:
+                    column = [(a, sign)]
+                else:
+                    column = [(i, sign * row[a]) for i, row in enumerate(left) if row[a]]
+                for i, f in column:
+                    if right is None:
+                        image[(block_row * n + i) * side + block_col * n + b] += f
+                    else:
+                        add_row(image, block_row, block_col, i, [f * y for y in right[b]])
+            table.append(pack(image))
+    offset = pack(base)
+    size, row_size = side * side * width, side * width
+
+    def apply(v: Grid) -> list[list[int]]:
+        data = memoryview(sum(map(mul, chain.from_iterable(v), table), offset).to_bytes(size, "little"))
+        return [
+            [int.from_bytes(data[s : s + width], "little") % prime for s in range(r, r + row_size, width)]
+            for r in range(0, size, row_size)
+        ]
+
+    return apply
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:

@@ -27,10 +27,12 @@ A grid is stored by its nonzero cells: each block row maps a column to a
 label +-X_k or +-[X_i, X_j], and a zero block is simply absent.  Every
 builder and consumer here walks only those cells: assemble builds an
 ExactMatrix, assemble_mod a commutator grid's int rows mod a prime (for
-flattening_rank_mod and the key lemma's stage 3), filling absent cells with
-one shared zero block.  SymbolicBlockMatrix.labels is a dense read-only view,
-with BlockLabel.zero() in every absent cell, for callers that walk every cell.
-Each stored row is a read-only mapping, so a shared grid cannot be altered.
+flattening_rank_mod), filling absent cells with one shared zero block.
+SymbolicBlockMatrix.labels is a dense read-only view, with BlockLabel.zero()
+in every absent cell, for callers that walk every cell.  Each stored row is
+a read-only mapping, so a shared grid cannot be altered.  schur_terms(p)
+lists the blocks of the Schur complement of the commutator grid's
++-diag([X_1, X_2]) corner, which the key lemma's stage 3 evaluates.
 
 The printed reference patterns for p = 1, 2, 3 are hardcoded below as token
 grids; verify --suite p3 and the tests compare the constructed grids to them.
@@ -332,6 +334,66 @@ def commutator_pattern(p: int) -> SymbolicBlockMatrix:
             row[c] = BlockLabel.of_commutator(k, l, c1)
         grid.append(row)
     return SymbolicBlockMatrix(q.block_rows, r.block_cols, tuple(grid))
+
+
+@dataclass(frozen=True)
+class SchurTerm:
+    """sign * [X_a, X_b] for one pair, or sign * [X_a, X_b] K [X_c, X_d] for two.
+
+    K stands for [X_1, X_2]^-1; each pair is increasing.
+    """
+
+    sign: int
+    pairs: tuple[tuple[int, int], ...]
+
+
+@cache
+def schur_terms(p: int) -> tuple[tuple[tuple[SchurTerm, ...], ...], ...]:
+    """Blocks of the Schur complement of the commutator grid's +-diag([X_1, X_2]) corner.
+
+    With d = binom(2p-2, p-1) and m = binom(2p, p+1), the grid splits after
+    m - d block rows and d block columns as [[A, B], [C, D]], where claim
+    (a) of check_structure makes C = diag(c_k [X_1, X_2]), c_k = +-1.  With
+    K = [X_1, X_2]^-1, C^-1 = diag(c_k K), and moving C's block columns
+    behind the others gives
+
+        det(grid) = (-1)^(d (m-d) n^2) * det(C) * det(S),   S = B - A C^-1 D,
+
+    so wherever [X_1, X_2] is invertible det(grid) and det(S) vanish
+    together.  Entry [I][J] lists the terms of block (I, J) of S: B's cell,
+    then -c_k A_Ik K D_kJ for each k where both cells are nonzero.  Built
+    once per p and shared.  Raises StructureError if the corner is not
+    +-diag([X_1, X_2]) or if a product term has X_2p in both factors, where
+    S would not be linear in the last slice.
+    """
+    grid = commutator_pattern(p)
+    d = comb(2 * p - 2, p - 1)
+    top = grid.block_rows - d
+    corner = BlockLabel.of_commutator(1, 2)
+    signs = []
+    for k, row in enumerate(grid.rows[top:]):
+        cells = {j: label for j, label in row.items() if j < d}
+        label = cells.pop(k, None)
+        if label is None or not label.same_symbol(corner) or cells:
+            raise StructureError(f"corner block row {k} is not +-[X1, X2] on the diagonal")
+        signs.append(label.sign)
+    last = 2 * p
+    blocks = []
+    for a_row in grid.rows[:top]:
+        row = []
+        for col in range(d, grid.block_cols):
+            b_label = a_row.get(col)
+            terms = [] if b_label is None else [SchurTerm(b_label.sign, (b_label.pair,))]
+            for k, sign in enumerate(signs):
+                left, right = a_row.get(k), grid.rows[top + k].get(col)
+                if left is None or right is None:
+                    continue
+                if last in left.pair and last in right.pair:
+                    raise StructureError(f"term {left.token()} K {right.token()} is quadratic in X{last}")
+                terms.append(SchurTerm(-sign * left.sign * right.sign, (left.pair, right.pair)))
+            row.append(tuple(terms))
+        blocks.append(tuple(row))
+    return tuple(blocks)
 
 
 def normalize_pivot(slices: SliceFamily) -> SliceFamily:

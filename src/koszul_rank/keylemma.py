@@ -13,26 +13,24 @@ residue, which proves the integer value nonzero; a zero residue only rejects
 that sample and the search draws again.
 
 The evaluators work on residues throughout, with the int-row helpers of
-exact_linalg and flattening.assemble_mod for the stage-3 grid.  Once per
-pipeline run the basis entries are reduced mod RANK_PRIME, and adj(alpha^0)
-is taken as det * inverse of alpha^0's residue rows, which stage 0 proved
-nonsingular; reduction mod the prime is a ring homomorphism, so that is the
-residue of the exact adjugate.  An evaluation builds its stage matrix M as
-int rows mod the prime and hands them to det_mod_rows.  For an integer
-basis M is an integer matrix and det(M mod p) = det(M) mod p, so every
-residue is the one det_mod(M) would give and the search takes the same
-path.  A rational basis needs every denominator prime to RANK_PRIME, where
-the residues exist and vanish exactly when det_mod of the row-scaled matrix
-does; key_lemma_search rejects any other basis at stage P0.  Stage 3 takes
-the commutators among the fixed v_1 .. v_{2p-1} once, so an evaluation
-computes only the 2p - 1 commutators [v_i, v_2p].
+exact_linalg.  Once per pipeline run the basis entries are reduced mod
+RANK_PRIME, and adj(alpha^0) is taken as det * inverse of alpha^0's residue
+rows, which stage 0 proved nonsingular; reduction mod the prime is a ring
+homomorphism, so that is the residue of the exact adjugate.  An evaluation
+builds its stage matrix M as int rows mod the prime and hands them to
+det_mod_rows.  For an integer basis M is an integer matrix and
+det(M mod p) = det(M) mod p, so every residue is the one det_mod(M) would
+give and the search takes the same path.  A rational basis needs every
+denominator prime to RANK_PRIME, where the residues exist and vanish exactly
+when det_mod of the row-scaled matrix does; key_lemma_search rejects any
+other basis at stage P0.
 
 key_lemma_search chains four such searches (pipeline for p in {1, 2}):
 
   stage 0   det over the matrix space          -> alpha^0, support <= n
   stage 1   dets of middle-slice commutators   -> v_2..v_{2p-1}, <= n*binom(2p,p+1)
   stage 2   det([X_1, fixed X_2])              -> v_1, support <= n
-  stage 3   det of the commutator grid in v_2p -> v_2p, <= n*(binom(2p,p+1)-binom(2p-2,p-1))
+  stage 3   det of the Schur complement S      -> v_2p, <= n*(binom(2p,p+1)-binom(2p-2,p-1))
 
 fixing the sampled witness point after each stage.  The search stages touch
 only residues: each slot keeps its point and its normalized residue rows, and
@@ -44,6 +42,17 @@ factors) makes the final det != 0 automatic once every stage succeeded; the
 witness is still checked once, over Q, by the helpers validate_witness
 replays: _grid_det takes det_exact of the normalized commutator grid, and the
 support and basis checks run after it.  A failed final check retries the run.
+
+Stage 3's S = B - A C^-1 D is the Schur complement of the commutator grid's
+corner C = +-diag([X_1, X_2]) (flattening.schur_terms), a square matrix
+whose side n*(binom(2p,p+1) - binom(2p-2,p-1)) is the stage budget.
+det(grid) = +-det(C) * det(S) with det(C) = +-det([X_1, X_2])^binom(2p-2,p-1),
+a unit mod the prime because stage 2 accepted det([X_1, X_2]); so the unit
+factor leaves every verdict unchanged, and the search takes the path the
+whole grid would give it.  At p = 2 both [V, X_2] and S are affine in the
+normalized sample V, so each of stages 2 and 3 tabulates its map once per
+attempt with exact_linalg.linear_map_mod, and an evaluation costs one
+multiply-add per entry of V, one unpacking and one det_mod_rows.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from typing import Callable, Optional, Sequence
 
 from .bounds import mr_coefficient
@@ -66,16 +76,17 @@ from .exact_linalg import (
     det_mod_rows,
     invert,
     invert_mod,
+    linear_map_mod,
     mul_mod,
     rank_exact,
     rank_mod,
     reduce_mod,
 )
 from .flattening import (
-    assemble_mod,
     commutator_matrix,
     commutator_pattern,
     normalize_pivot,
+    schur_terms,
 )
 from .tensor_core import SliceFamily
 
@@ -270,12 +281,13 @@ def degree_along_line(poly: PolynomialEvaluator, seed: int = 0) -> int:
     interpolant, so a non-polynomial evaluator (or an understated bound) is
     detected instead of silently mismeasured.  poly.evaluate must return
     exact values: residues mod a prime do not interpolate over Q.  Equals the
-    total degree of P with high probability over the line choice.
+    total degree of P with high probability over the line choice; with arity
+    0 the line is one point and P a constant, of degree 0.
     """
     rng = random.Random(child_seed(seed, 0xDE6))
     base = [rng.randint(-9, 9) for _ in range(poly.arity)]
     direction = [rng.randint(-9, 9) for _ in range(poly.arity)]
-    if not any(direction):
+    if poly.arity and not any(direction):
         direction[0] = 1
     d = poly.degree_bound
     values = [
@@ -421,6 +433,56 @@ def _middle_pairs(p: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _schur_map(
+    fixed: dict[int, list[list[int]]], n: int, p: int, prime: int = RANK_PRIME
+) -> Callable[[Sequence[Sequence[int]]], list[list[int]]]:
+    """V -> S mod prime, for the slices fixed[1 .. 2p-1] and X_2p = V.
+
+    S = B - A C^-1 D is the Schur complement of schur_terms(p).  A term
+    without X_2p is a constant of linear_map_mod; in the others, the factor
+    [X_a, V] turns the term into two of its sandwiches,
+
+        sign * L [X_a, V] R = sign * (L X_a) V R - sign * L V (X_a R).
+
+    Raises KeyLemmaStageError when [X_1, X_2] is singular mod prime.
+    """
+    k = invert_mod(commutator_mod(fixed[1], fixed[2], prime), prime)
+    if k is None:
+        raise KeyLemmaStageError("stage P3: [X_1, X_2] is singular mod the prime")
+    last = 2 * p
+    blocks = schur_terms(p)
+
+    @cache
+    def bracket(pair: tuple[int, int]) -> list[list[int]]:
+        return commutator_mod(fixed[pair[0]], fixed[pair[1]], prime)
+
+    def product(x: Optional[list[list[int]]], y: Optional[list[list[int]]]) -> Optional[list[list[int]]]:
+        """x y mod prime, with None for the identity."""
+        if x is None or y is None:
+            return y if x is None else x
+        return mul_mod(x, y, prime)
+
+    terms, constants = [], []
+    for bi, block_row in enumerate(blocks):
+        for bj, cell in enumerate(block_row):
+            for term in cell:
+                # the term's factors with K between two of them; None is [X_a, V]
+                factors = [None if pair[1] == last else bracket(pair) for pair in term.pairs]
+                factors[1:1] = [k] * (len(factors) - 1)
+                if None not in factors:
+                    constants.append((bi, bj, term.sign, reduce(product, factors)))
+                    continue
+                at = factors.index(None)
+                left = reduce(product, factors[:at], None)
+                right = reduce(product, factors[at + 1 :], None)
+                x_a = fixed[term.pairs[at // 2][0]]
+                terms += [
+                    (bi, bj, term.sign, product(left, x_a), right),
+                    (bi, bj, -term.sign, left, product(x_a, right)),
+                ]
+    return linear_map_mod(n, len(blocks), terms, constants, prime)
+
+
 _ATTEMPTS = 5
 
 
@@ -545,38 +607,23 @@ def _run_pipeline(
         for m in middles:
             fix(m, w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity])
 
-    # stage 2: v_1 against the fixed v_2
-    w2 = run_stage(
-        2,
-        PolynomialEvaluator(
-            arity, n, lambda x: det_mod_rows(commutator_mod(normalized(x), fixed_mod[2]))
-        ),
-    )
+    # stage 2: v_1 against the fixed v_2; [V, X_2] = V X_2 - X_2 V is linear in V
+    bracket2 = linear_map_mod(n, 1, [(0, 0, 1, None, fixed_mod[2]), (0, 0, -1, fixed_mod[2], None)])
+    w2 = run_stage(2, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(bracket2(normalized(x)))))
     fix(1, w2.point)
 
-    # stage 3: the last slice v_2p through the full commutator grid.  The
-    # commutators among v_1 .. v_{2p-1} do not move with the sample, so they
-    # are taken once; an evaluation computes only [v_i, v_2p] for i < 2p
+    # stage 3: the last slice v_2p through the Schur complement S of the
+    # grid's +-diag([X_1, X_2]) corner, which is linear in v_2p; det(S) is
+    # det(grid) up to a unit, so every sample gets the same verdict
     if p == 1:
         support3: tuple[int, ...] = ()
     else:
-        last = 2 * p
-        pattern = commutator_pattern(p)
-        commutators = {
-            (i, j): commutator_mod(fixed_mod[i], fixed_mod[j])
-            for i in range(1, last)
-            for j in range(i + 1, last)
-        }
-
-        def eval_stage3(x: Sequence) -> int:
-            x_last = normalized(x)
-            for i in range(1, last):
-                commutators[i, last] = commutator_mod(fixed_mod[i], x_last)
-            return det_mod_rows(assemble_mod(pattern, commutators, n))
-
-        w3 = run_stage(3, PolynomialEvaluator(arity, budgets[3], eval_stage3))
+        schur = _schur_map(fixed_mod, n, p)
+        w3 = run_stage(
+            3, PolynomialEvaluator(arity, budgets[3], lambda x: det_mod_rows(schur(normalized(x))))
+        )
         support3 = w3.support
-        points[last] = w3.point
+        points[2 * p] = w3.point
 
     # the exact alphas, built once; a failed final check retries the run
     entries = _basis_entries(basis)
@@ -628,7 +675,10 @@ def refined_p2_degree(n: int, seed: int = 0) -> int:
     A = diag([[0, C12], [-C12, 0]], Id_2n) with C12 = [v1, v2] fixed from a
     seeded draw; U is the rest of the skew commutator arrangement; the degree
     is measured along a random line in the joint (v3, v4) coordinates.
+    Needs n >= 2: 1 x 1 matrices commute, so C12 would never be invertible.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     rng = random.Random(child_seed(seed, 0xF2))
     while True:
         v1 = ExactMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
@@ -665,7 +715,8 @@ def reduced_diagonal_degree(n: int, p: int, seed: int = 0) -> tuple[int, int]:
 
     Expected is 2n per distinct non-excluded diagonal commutator; measured
     interpolates the product along a random line in the joint middle-slice
-    coordinates.
+    coordinates.  p = 1 has no middle slices, so the product is the empty
+    constant 1 and both are 0.
     """
     pairs = _middle_pairs(p)
     middles = list(range(2, 2 * p))

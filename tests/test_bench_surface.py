@@ -1,8 +1,10 @@
 """The benchmark's tracer and correctness gate still fit the package surface.
 
-perfbench/tracer.py wraps package functions by name and reads symbolic grids
-through SymbolicBlockMatrix.labels; perfbench/workloads.py replays key-lemma
-witnesses from the CLI's JSON.  Both are loaded by path and only read here.
+perfbench/tracer.py wraps package functions by name, reads symbolic grids
+through SymbolicBlockMatrix.labels and counts key-lemma samples through the
+evaluate field of each stage's PolynomialEvaluator; perfbench/workloads.py
+replays key-lemma witnesses from the CLI's JSON.  Both are loaded by path
+and only read here.
 """
 
 import importlib.util
@@ -37,4 +39,8 @@ def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
         tracer.uninstall()
     assert tracer.installed == 0
     assert tracer.counts["flattening.assemble.blocks_nonzero"] > 0
+    # a stage evaluator that is not a PolynomialEvaluator would escape this count
+    evaluations = tracer.counts["keylemma.evaluate.evaluations"]
+    assert evaluations > 0
+    assert tracer.counts["keylemma.evaluate.zero_evaluations"] <= evaluations
     assert workloads._check_witness(witness) == []

@@ -22,6 +22,7 @@ from koszul_rank.exact_linalg import (
     det_rank_update,
     invert,
     invert_mod,
+    linear_map_mod,
     matrix_from_json,
     matrix_to_json,
     mul_mod,
@@ -417,6 +418,34 @@ def test_mul_mod_and_commutator_mod_reduce_the_exact_products(pair, prime):
     assume(rx is not None and ry is not None)
     assert mul_mod(rx, ry, prime) == reduce_mod(x * y, prime)
     assert commutator_mod(rx, ry, prime) == reduce_mod(commutator(x, y), prime)
+
+
+@pytest.mark.parametrize("prime", [7, RANK_PRIME])
+def test_linear_map_mod_is_the_sum_of_its_sandwiches(prime):
+    rng = random.Random(prime % 1000)
+    n, blocks = 3, 2
+
+    def residues():
+        return [[rng.randrange(prime) for _ in range(n)] for _ in range(n)]
+
+    terms = [
+        (0, 1, 1, residues(), residues()),
+        (0, 1, -1, residues(), residues()),
+        (1, 1, -1, None, residues()),
+        (1, 0, 1, residues(), None),
+    ]
+    constants = [(1, 1, -1, residues()), (1, 1, 1, residues())]
+    apply = linear_map_mod(n, blocks, terms, constants, prime)
+    identity = ExactMatrix.identity(n)
+    for v in (residues(), [[prime - 1] * n for _ in range(n)], [[0] * n for _ in range(n)]):
+        image = [[ExactMatrix.zeros(n, n)] * blocks for _ in range(blocks)]
+        for bi, bj, sign, left, right in terms:
+            left = identity if left is None else ExactMatrix(left)
+            right = identity if right is None else ExactMatrix(right)
+            image[bi][bj] = image[bi][bj] + sign * (left * ExactMatrix(v) * right)
+        for bi, bj, sign, rows in constants:
+            image[bi][bj] = image[bi][bj] + sign * ExactMatrix(rows)
+        assert apply(v) == reduce_mod(ExactMatrix.from_blocks(image), prime)
 
 
 # -- int and Fraction entries ----------------------------------------------------

@@ -26,6 +26,7 @@ from koszul_rank.exact_linalg import (
 from koszul_rank.flattening import (
     BlockLabel,
     LayoutError,
+    SchurTerm,
     StructureError,
     SymbolicBlockMatrix,
     assemble,
@@ -40,6 +41,7 @@ from koszul_rank.flattening import (
     parse_symbolic,
     partition_blocks,
     reference_pattern,
+    schur_terms,
 )
 from koszul_rank.tensor_core import SliceFamily, Tensor3, slice_family
 from oracles import gauss_rank, koszul_matrix
@@ -275,6 +277,41 @@ def test_commutator_pattern_rejects_unbalanced_cell(monkeypatch):
     commutator_pattern.cache_clear()  # a grid built earlier would be served unchecked
     with pytest.raises(StructureError, match=r"structure violation at cell \(\d+,\d+\)"):
         commutator_pattern(2)
+
+
+def test_schur_terms_of_the_p2_grid():
+    # A = [[X23, -X24], [X13, -X14]], B = diag(X34, X34), C = diag(X12, X12)
+    # and D = [[-X14, X24], [-X13, X23]]; block (I, J) of S = B - A C^-1 D
+    t = SchurTerm
+    assert schur_terms(2) == (
+        (
+            (t(1, ((3, 4),)), t(1, ((2, 3), (1, 4))), t(-1, ((2, 4), (1, 3)))),
+            (t(-1, ((2, 3), (2, 4))), t(1, ((2, 4), (2, 3)))),
+        ),
+        (
+            (t(1, ((1, 3), (1, 4))), t(-1, ((1, 4), (1, 3)))),
+            (t(1, ((3, 4),)), t(-1, ((1, 3), (2, 4))), t(1, ((1, 4), (2, 3)))),
+        ),
+    )
+    assert schur_terms(1) == ()  # the p = 1 grid is all corner
+
+
+@pytest.mark.parametrize(
+    "cell, label, message",
+    [
+        ((2, 0), BlockLabel.of_commutator(1, 3), "corner block row 0"),  # wrong diagonal
+        ((3, 0), BlockLabel.of_commutator(1, 2), "corner block row 1"),  # off the diagonal
+        ((3, 2), BlockLabel.of_commutator(3, 4), "quadratic in X4"),  # meets A's -X24
+    ],
+)
+def test_schur_terms_rejects_a_broken_corner_or_a_quadratic_term(monkeypatch, cell, label, message):
+    grid = commutator_pattern(2)
+    rows = [dict(row) for row in grid.rows]
+    rows[cell[0]][cell[1]] = label
+    bad = SymbolicBlockMatrix(grid.block_rows, grid.block_cols, tuple(rows))
+    monkeypatch.setattr(flattening, "commutator_pattern", lambda p: bad)
+    with pytest.raises(StructureError, match=message):
+        schur_terms.__wrapped__(2)  # past the cache, which holds the true grid's terms
 
 
 def test_commutator_pattern_single_cells_up_to_p6():

@@ -6,18 +6,23 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from koszul_rank.exact_linalg import (
     RANK_PRIME,
     ExactMatrix,
     child_seed,
     commutator,
+    commutator_mod,
     det_exact,
     det_mod,
+    det_mod_rows,
     invert,
+    random_int_matrix,
     reduce_mod,
 )
-from koszul_rank.flattening import assemble, commutator_pattern
+from koszul_rank.flattening import assemble, assemble_mod, commutator_matrix, commutator_pattern
 from koszul_rank.keylemma import (
     KeyLemmaStageError,
     PolynomialEvaluator,
@@ -339,7 +344,12 @@ def exact_stage_evaluators(n, p, basis, points, seed):
         lambda x: det_mod(commutator(normalized(x), adj0 * fixed[2])),
         stage3,
     ]
-    return evaluators, adj0
+    if p == 1:
+        return evaluators, adj0, None
+    # the p = 2 grid's corner C = diag([X_1, X_2], [X_1, X_2]) in the normalized slices
+    x12 = commutator(adj0 * fixed[1], adj0 * fixed[2])
+    zero = ExactMatrix.zeros(n, n)
+    return evaluators, adj0, det_mod(ExactMatrix.from_blocks([[x12, zero], [zero, x12]]))
 
 
 def random_integer_basis(n, rng):
@@ -365,7 +375,7 @@ def test_stage_evaluators_equal_det_mod_of_the_exact_expressions(monkeypatch, n,
     else:
         basis = random_integer_basis(n, rng) if basis_kind else elementary_basis(n)
     polys, points, adj0 = run_capturing_stages(monkeypatch, n, p, basis, seed=3)
-    expected, exact_adj0 = exact_stage_evaluators(n, p, basis, points, seed=3)
+    expected, exact_adj0, corner_det = exact_stage_evaluators(n, p, basis, points, seed=3)
     assert adj0 == reduce_mod(exact_adj0)
     for stage, poly in enumerate(polys):
         samples = [[0] * poly.arity, list(points[stage])]
@@ -378,19 +388,87 @@ def test_stage_evaluators_equal_det_mod_of_the_exact_expressions(monkeypatch, n,
                 # det_mod row-scales a rational matrix, so only zero against
                 # nonzero carries over
                 assert bool(value) == bool(reference), f"stage {stage} at {x}"
+            elif stage == 3:
+                # stage 3 is det(S) for the Schur complement S of the corner C,
+                # and det(grid) = eps * det(C) * det(S) with eps = +1: moving
+                # C's 2n columns behind the other 2n is (-1)^(2n * 2n)
+                assert reference == corner_det * value % RANK_PRIME, f"stage 3 at {x}"
             else:
                 assert value == reference, f"stage {stage} at {x}"
 
 
-def test_stage3_recomputes_only_the_commutators_with_the_last_slice(monkeypatch):
-    polys, points, _ = run_capturing_stages(monkeypatch, 4, 2, elementary_basis(4), seed=0)
+def test_stage3_takes_one_det_of_the_schur_complement(monkeypatch):
+    n = 4
+    polys, points, _ = run_capturing_stages(monkeypatch, n, 2, elementary_basis(n), seed=0)
     x = list(points[3])
     value = polys[3].evaluate(x)
-    calls = []
-    real = keylemma.commutator_mod
-    monkeypatch.setattr(keylemma, "commutator_mod", lambda *args: calls.append(1) or real(*args))
+    commutators, dets = [], []
+    real_commutator, real_det = keylemma.commutator_mod, keylemma.det_mod_rows
+    monkeypatch.setattr(
+        keylemma, "commutator_mod", lambda *args: commutators.append(1) or real_commutator(*args)
+    )
+    monkeypatch.setattr(
+        keylemma, "det_mod_rows", lambda rows, *args: dets.append(len(rows)) or real_det(rows, *args)
+    )
     assert polys[3].evaluate(x) == value != 0
-    assert len(calls) == 2 * 2 - 1  # [X_i, X_4] for i = 1, 2, 3 out of 6 pairs
+    assert commutators == []
+    assert dets == [keylemma._stage_budgets(n, 2)[3]] == [2 * n]
+
+
+def split_grid(grid, side):
+    """The blocks A, B, C, D of [[A, B], [C, D]], with A side x side."""
+    rows = list(grid)
+    top, bottom = rows[:side], rows[side:]
+    left, right = slice(None, side), slice(side, None)
+    return tuple(ExactMatrix([row[cols] for row in part]) for part in (top, bottom) for cols in (left, right))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_schur_complement_degree_is_the_stage3_budget(n):
+    rng = random.Random(60 + n)
+    while True:
+        xs = [ExactMatrix.identity(n)] + [random_int_matrix(rng, n, n) for _ in range(3)]
+        if det_exact(commutator(xs[1], xs[2])) != 0:
+            break
+
+    def det_schur(x):
+        v = ExactMatrix([list(x[i * n : (i + 1) * n]) for i in range(n)])
+        a, b, c, d = split_grid(commutator_matrix(SliceFamily(2, n, n, tuple(xs + [v]))), 2 * n)
+        return det_exact(b - a * invert(c) * d)
+
+    budget = keylemma._stage_budgets(n, 2)[3]
+    poly = PolynomialEvaluator(n * n, budget, det_schur)
+    assert degree_along_line(poly, seed=n) == budget == 2 * n
+
+
+def residue_slices(n):
+    entry = st.integers(0, 6)
+    return st.lists(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=4,
+        max_size=4,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(2, 4).flatmap(residue_slices))
+def test_schur_verdict_is_the_full_grid_verdict_mod_7(slices):
+    n = len(slices[0])
+    xs = dict(enumerate(slices, start=1))
+    corner = det_mod_rows(commutator_mod(xs[1], xs[2], 7), 7) ** 2 % 7
+    assume(corner)
+    schur = keylemma._schur_map({i: xs[i] for i in (1, 2, 3)}, n, 2, prime=7)
+    value = det_mod_rows(schur(xs[4]), 7)
+    commutators = {(i, j): commutator_mod(xs[i], xs[j], 7) for i in range(1, 5) for j in range(i + 1, 5)}
+    full = det_mod_rows(assemble_mod(commutator_pattern(2), commutators, n, 7), 7)
+    assert bool(value) == bool(full)
+    assert full == corner * value % 7
+
+
+def test_schur_map_names_stage3_when_the_corner_is_singular():
+    x = [[1, 2], [3, 4]]
+    with pytest.raises(KeyLemmaStageError, match=r"stage P3: \[X_1, X_2\] is singular"):
+        keylemma._schur_map({1: x, 2: x, 3: x}, 2, 2)
 
 
 def test_validate_witness_catches_tampering():
@@ -475,6 +553,19 @@ def test_refined_p2_degree_bound():
     assert refined_p2_degree(3, seed=0) == 12  # the 4n claim with content
 
 
+def test_refined_p2_degree_rejects_n_below_2():
+    # 1 x 1 matrices commute, so no draw of v1, v2 could ever be accepted
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        refined_p2_degree(1)
+
+
 def test_reduced_diagonal_degree():
     assert reduced_diagonal_degree(2, 3, seed=0) == (12, 12)
     assert reduced_diagonal_degree(2, 2, seed=0) == (4, 4)
+
+
+def test_reduced_diagonal_degree_at_p1_is_a_constant():
+    # p = 1 has no middle slices: an evaluator of arity 0
+    assert reduced_diagonal_degree(3, 1, seed=0) == (0, 0)
+    constant = PolynomialEvaluator(0, 1, lambda x: Fraction(5))
+    assert degree_along_line(constant, seed=2) == 0
