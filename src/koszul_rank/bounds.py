@@ -135,6 +135,30 @@ def mr_coefficient(p: int) -> int:
     return 2 * math.comb(2 * p, p + 1) - math.comb(2 * p - 2, p - 1) + 2
 
 
+def _formula(kind: BoundKind) -> tuple[Fraction, Fraction, int]:
+    """(a, b, c) with value(n, m) = a n m + b n^2 - c n, binomials taken once."""
+    p = kind.p
+    if kind.tag == "strassen":
+        return Fraction(0), Fraction(3, 2), 0
+    if kind.tag == "blaser":
+        return Fraction(0), Fraction(5, 2), 3
+    if kind.tag == "landsberg":
+        return Fraction(0), 3 - Fraction(1, p + 1), 1 + 2 * p * math.comb(2 * p, p)
+    if kind.tag == "mr":
+        return 1 + Fraction(p, p + 1), Fraction(1), mr_coefficient(p)
+    if kind.tag == "mr_p2_refined":
+        return Fraction(0), Fraction(8, 3), 7
+    if kind.tag == "mr_p3_refined":
+        return Fraction(0), Fraction(11, 4), 17
+    raise AssertionError(kind)  # pragma: no cover
+
+
+def _report(kind: BoundKind, formula: tuple[Fraction, Fraction, int], n: int, m: int) -> BoundReport:
+    a, b, c = formula
+    value = a * n * m + b * n * n - c * n
+    return BoundReport(kind, n, m, value, math.ceil(value), value < 0)
+
+
 def bound_value(kind: BoundKind, n: int, m: Optional[int] = None) -> BoundReport:
     """Evaluate a bound formula exactly at (n, m); m defaults to n."""
     if n < 1:
@@ -143,22 +167,7 @@ def bound_value(kind: BoundKind, n: int, m: Optional[int] = None) -> BoundReport
         m = n
     if kind.tag in SQUARE_ONLY_TAGS and m != n:
         raise ValueError(f"kind {kind} is defined only for m = n")
-    p = kind.p
-    if kind.tag == "strassen":
-        value = Fraction(3, 2) * n * n
-    elif kind.tag == "blaser":
-        value = Fraction(5, 2) * n * n - 3 * n
-    elif kind.tag == "landsberg":
-        value = (3 - Fraction(1, p + 1)) * n * n - (1 + 2 * p * math.comb(2 * p, p)) * n
-    elif kind.tag == "mr":
-        value = (1 + Fraction(p, p + 1)) * n * m + n * n - mr_coefficient(p) * n
-    elif kind.tag == "mr_p2_refined":
-        value = Fraction(8, 3) * n * n - 7 * n
-    elif kind.tag == "mr_p3_refined":
-        value = Fraction(11, 4) * n * n - 17 * n
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    return BoundReport(kind, n, m, value, math.ceil(value), value < 0)
+    return _report(kind, _formula(kind), n, m)
 
 
 def best_mr(n: int) -> tuple[int, BoundReport]:
@@ -192,13 +201,15 @@ def crossover(a: BoundKind, b: BoundKind, n_max: int = 1000) -> CrossoverReport:
 
     monotone_after reports whether value(a) - value(b) is nondecreasing from
     the first_geq point up to n_max.  The scan keeps only the previous
-    difference, so its memory does not grow with n_max.
+    difference, so its memory does not grow with n_max, and takes each
+    kind's binomials once.
     """
+    formula_a, formula_b = _formula(a), _formula(b)
     first_geq = first_strict = None
     first_geq_c = first_strict_c = None
     monotone = previous = None
     for n in range(1, n_max + 1):
-        va, vb = bound_value(a, n), bound_value(b, n)
+        va, vb = _report(a, formula_a, n, n), _report(b, formula_b, n, n)
         diff = va.value - vb.value
         if first_geq is None and diff >= 0:
             first_geq, monotone = n, True
@@ -233,6 +244,12 @@ def _child_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index * 7919 + 12345) % (2**63)
 
 
+def _draw(seed: int, count: int, dim: int) -> list[list[int]]:
+    """count random integer covectors of length dim, entries in [-9, 9]."""
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(count)]
+
+
 def certify_border_rank(
     tensor: Tensor3,
     p: int,
@@ -265,12 +282,10 @@ def certify_border_rank(
     if alphas is not None:
         if len(alphas) != count or any(len(a) != tensor.dim_a for a in alphas):
             raise ValueError(f"need {count} covectors of length dimA = {tensor.dim_a}")
-        draws = [alphas]
+        trials, draws = 1, [alphas]
     else:
-        draws = []
-        for index in range(trials):
-            rng = random.Random(_child_seed(seed, index))
-            draws.append([[rng.randint(-9, 9) for _ in range(tensor.dim_a)] for _ in range(count)])
+        # each draw is made when the loop below ranks it, so memory does not grow with trials
+        draws = (_draw(_child_seed(seed, index), count, tensor.dim_a) for index in range(trials))
     divisor = math.comb(2 * p, p)
     reduced, copies = identity_factor(tensor)
     ranks, best = [], None
@@ -290,5 +305,5 @@ def certify_border_rank(
     rank, draw = best
     used = tuple(tuple(Fraction(x) for x in a) for a in draw)
     return Certificate(
-        -(-rank // divisor), rank, divisor, p, seed, len(draws), used, tuple(ranks), RANK_PRIME
+        -(-rank // divisor), rank, divisor, p, seed, trials, used, tuple(ranks), RANK_PRIME
     )

@@ -4,8 +4,9 @@ Every command takes --seed (default 0) and echoes it in the output; identical
 invocations produce byte-identical output.  bounds, crossover and verify take
 --format: md (default), csv or json.  Exit codes: 0 success, 1 check failure,
 2 input error, 3 degenerate computation.  Input beyond the size caps below
-(MAX_SYMBOLIC_P for flatten and verify --p) and keylemma --p outside {1, 2}
-exit 2 before anything is allocated.
+(MAX_SYMBOLIC_P for flatten and verify --p) and a keylemma --p without a
+stage list exit 2 before anything is allocated; keylemma with 2p + 1 > n^2
+exits 3, as certify does with 2p + 1 > dimA.
 
 certify caps the dense flattening side comb(2p+1, p) * dimB even though a
 matrix multiplication tensor M_{n,l,m} is certified on its reduced
@@ -55,9 +56,11 @@ MAX_FLATTENING_SIDE = 1000  # comb(2p+1, p) * dimB: certify, flatten --numeric, 
 # 31 is where mr:2 first beats Blaser's bound (crossover --a mr:2 --b blaser)
 MAX_KEYLEMMA_N = 31
 MAX_CROSSOVER_N = 100_000  # crossover --n-max: one exact evaluation per n
-# bounds --p: two table rows per p, each evaluating binomials of about 2p
-# bits, so the run time grows faster than linearly in --p
+# bounds --p and the p of crossover's kinds: binomials of about 2p bits, two
+# table rows per p for bounds, one exact evaluation per n for crossover
 MAX_BOUNDS_P = 1000
+# certify --trials: one flattening rank per trial, each draw made when it is ranked
+MAX_CERTIFY_TRIALS = 1000
 
 
 def _input_error(message: str) -> int:
@@ -164,6 +167,8 @@ def _cmd_crossover(args) -> int:
         return _input_error(str(exc))
     if not 1 <= args.n_max <= MAX_CROSSOVER_N:
         return _input_error(f"--n-max must be in 1..{MAX_CROSSOVER_N}")
+    if any(kind.p is not None and kind.p > MAX_BOUNDS_P for kind in (kind_a, kind_b)):
+        return _input_error(f"the p of --a and --b must be <= {MAX_BOUNDS_P}")
     report = crossover(kind_a, kind_b, args.n_max)
     notes = []
     pair = {str(kind_a), str(kind_b)}
@@ -212,8 +217,8 @@ def _cmd_flatten(args) -> int:
 def _cmd_certify(args) -> int:
     if args.p < 1:
         return _input_error("--p must be >= 1")
-    if args.trials < 1:
-        return _input_error("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_CERTIFY_TRIALS:
+        return _input_error(f"--trials must be in 1..{MAX_CERTIFY_TRIALS}")
     if args.tensor:
         try:
             with open(args.tensor, "r", encoding="utf-8") as handle:
@@ -298,10 +303,10 @@ def _cmd_verify(args) -> int:
 def _cmd_keylemma(args) -> int:
     if not 2 <= args.n <= MAX_KEYLEMMA_N:
         return _input_error(f"--n must be in 2..{MAX_KEYLEMMA_N}")
-    if args.p not in (1, 2):
-        return _input_error("--p must be 1 or 2 (pipeline implemented for p in {1, 2})")
     try:
         witness = key_lemma_search(args.n, args.p, seed=args.seed)
+    except NotImplementedError as exc:  # raised before anything is allocated
+        return _input_error(f"--p {args.p}: {exc}")
     except (KeyLemmaStageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

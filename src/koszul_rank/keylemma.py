@@ -25,23 +25,34 @@ denominator prime to RANK_PRIME, where the residues exist and vanish exactly
 when det_mod of the row-scaled matrix does; key_lemma_search rejects any
 other basis at stage P0.
 
-key_lemma_search chains four such searches (pipeline for p in {1, 2}):
+key_lemma_search runs stage 0, which fixes alpha^0, and then one loop over
+the stage list of p (_STAGES; pipeline for p in {1, 2}).  Stage k searches
+under budget k of _stage_budgets and fixes the slots it lists:
 
   stage 0   det over the matrix space          -> alpha^0, support <= n
+  p = 1:
+  stage 1   det([aux, X_2]), aux seeded        -> v_2, support <= n
+  stage 2   det([X_1, fixed X_2])              -> v_1, support <= n
+  p = 2:
   stage 1   dets of middle-slice commutators   -> v_2..v_{2p-1}, <= n*binom(2p,p+1)
   stage 2   det([X_1, fixed X_2])              -> v_1, support <= n
   stage 3   det of the Schur complement S      -> v_2p, <= n*(binom(2p,p+1)-binom(2p-2,p-1))
 
-fixing the sampled witness point after each stage.  The search stages touch
-only residues: each slot keeps its point and its normalized residue rows, and
-the 2p + 1 exact alphas are built once, after stage 3.  Stage arithmetic uses
-adjugate-normalized slices adj(alpha^0) * v (integer entries), which rescales
-each stage polynomial by a nonzero constant without moving its zero set or
-degree.  The product structure det(grid) = det(diagonal part) * det(Schur
-factors) makes the final det != 0 automatic once every stage succeeded; the
-witness is still checked once, over Q, by the helpers validate_witness
-replays: _grid_det takes det_exact of the normalized commutator grid, and the
-support and basis checks run after it.  A failed final check retries the run.
+p = 1 has no middle slices, so its stage 1 fixes v_2 = v_2p against a seeded
+auxiliary matrix, and its stage-3 budget is 0.  A stage that fixes several
+slots samples their joint coordinates, n^2 per slot, and its support is
+reduced mod n^2 to the basis vectors it weighs.  Each pass of the loop fixes
+the sampled witness point of its slots.  The search stages touch only
+residues: each slot keeps its point and its normalized residue rows, and the
+2p + 1 exact alphas are built once, after the last stage.  Stage arithmetic
+uses adjugate-normalized slices adj(alpha^0) * v (integer entries), which
+rescales each stage polynomial by a nonzero constant without moving its zero
+set or degree.  The product structure det(grid) = det(diagonal part) *
+det(Schur factors) makes the final det != 0 automatic once every stage
+succeeded; the witness is still checked once, over Q, by the helpers
+validate_witness replays: _grid_det takes det_exact of the normalized
+commutator grid, and the support and basis checks run after it.  A failed
+final check retries the run.
 
 Stage 3's S = B - A C^-1 D is the Schur complement of the commutator grid's
 corner C = +-diag([X_1, X_2]) (flattening.schur_terms), a square matrix
@@ -69,6 +80,7 @@ from .exact_linalg import (
     RANK_PRIME,
     Entry,
     ExactMatrix,
+    Grid,
     child_seed,
     commutator,
     commutator_mod,
@@ -483,6 +495,81 @@ def _schur_map(
     return linear_map_mod(n, len(blocks), terms, constants, prime)
 
 
+_Normalize = Callable[[Sequence[int]], Grid]  # coordinates -> their adj(alpha^0) * alpha mod RANK_PRIME
+_Evaluate = Callable[[Sequence[int]], int]  # coordinates -> a det residue
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One search stage after stage 0.
+
+    slots are the slices it fixes; its sample holds n^2 coordinates per slot,
+    in this order.  degree(n) is its degree bound.  build(fixed, normalized,
+    n, p, seed) turns the slices fixed so far (adj(alpha^0) * alpha^i mod
+    RANK_PRIME, by slot), the map from coordinates to such a slice, and the
+    attempt's seed into the evaluator.  It returns det(M mod RANK_PRIME) of
+    the stage matrix M: nonzero proves det(M) nonzero, and a zero only
+    rejects the sample.
+    """
+
+    slots: tuple[int, ...]
+    degree: Callable[[int], int]
+    build: Callable[[dict[int, Grid], _Normalize, int, int, int], _Evaluate]
+
+
+def _aux_bracket(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
+    """det([aux, V]) against a seeded auxiliary matrix, for p = 1's lone slot v_2."""
+    rng = random.Random(child_seed(seed, 0xA0))
+    aux = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    return lambda x: det_mod_rows(commutator_mod(aux, normalized(x)))
+
+
+def _middle_product(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
+    """Product of det([X_a, X_b]) over the middle pairs of X_2 .. X_{2p-1}."""
+    pairs, arity = _middle_pairs(p), n * n
+
+    def evaluate(x: Sequence[int]) -> int:
+        mats = [normalized(x[k : k + arity]) for k in range(0, len(x), arity)]
+        value = 1
+        for a, b in pairs:
+            value = value * det_mod_rows(commutator_mod(mats[a - 2], mats[b - 2])) % RANK_PRIME
+            if value == 0:
+                break
+        return value
+
+    return evaluate
+
+
+def _bracket_x2(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
+    """det([V, X_2]); [V, X_2] = V X_2 - X_2 V is linear in V."""
+    bracket = linear_map_mod(n, 1, [(0, 0, 1, None, fixed[2]), (0, 0, -1, fixed[2], None)])
+    return lambda x: det_mod_rows(bracket(normalized(x)))
+
+
+def _schur_det(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
+    """det(S) for the Schur complement S of the grid's +-diag([X_1, X_2]) corner.
+
+    S is linear in V = X_2p, and det(S) is det(grid) up to a unit, so every
+    sample gets the verdict of the whole grid.
+    """
+    schur = _schur_map(fixed, n, p)
+    return lambda x: det_mod_rows(schur(normalized(x)))
+
+
+# The stages after stage 0 of each p the pipeline implements; stage k of a
+# list (counting from 1) searches under budget k of _stage_budgets.
+_STAGES: dict[int, tuple[_Stage, ...]] = {
+    1: (
+        _Stage((2,), lambda n: n, _aux_bracket),
+        _Stage((1,), lambda n: n, _bracket_x2),
+    ),
+    2: (
+        _Stage((2, 3), lambda n: 2 * n * len(_middle_pairs(2)), _middle_product),
+        _Stage((1,), lambda n: n, _bracket_x2),
+        _Stage((4,), lambda n: n * len(schur_terms(2)), _schur_det),
+    ),
+}
+
 _ATTEMPTS = 5
 
 
@@ -491,15 +578,20 @@ def key_lemma_search(
 ) -> KeyLemmaWitness:
     """Run the staged pipeline and return a fully validated witness.
 
-    Implemented for p in {1, 2}; each stage fixes the (shrunken) witness point
-    of the previous one, exactly in pipeline order.  Retries the whole run a
-    few times on stage failure (fresh derived seeds) before giving up with a
-    KeyLemmaStageError that names the stage failure of every attempt.
+    Implemented for the p that have a stage list (NotImplementedError
+    otherwise); each stage fixes the (shrunken) witness point of the previous
+    one, exactly in pipeline order.  Raises ValueError when n < 2 or when the
+    2p + 1 alphas cannot be independent in the n^2-dimensional matrix space.
+    Retries the whole run a few times on stage failure (fresh derived seeds)
+    before giving up with a KeyLemmaStageError that names the stage failure
+    of every attempt.
     """
-    if p not in (1, 2):
-        raise NotImplementedError("pipeline implemented for p in {1, 2}")
+    if p not in _STAGES:
+        raise NotImplementedError(f"pipeline implemented for p in {set(_STAGES)}")
     if n < 2:
         raise ValueError("n must be >= 2")
+    if 2 * p + 1 > n * n:
+        raise ValueError(f"p too large for n: 2p + 1 = {2 * p + 1} alphas exceed n^2 = {n * n}")
     if basis is None:
         basis = elementary_basis(n)
     basis = list(basis)
@@ -532,6 +624,8 @@ def _run_pipeline(
     arity = n * n
     budgets = _stage_budgets(n, p)
     entries_mod = _basis_entries(residues)
+    # child_seed(attempt_seed, k) == child_seed(seed, attempt, k): tags compose
+    attempt_seed = child_seed(seed, attempt)
 
     def build_mod(coords: Sequence) -> list[list[int]]:
         """Integer rows congruent to sum_k coords[k] * basis[k] mod RANK_PRIME."""
@@ -539,16 +633,12 @@ def _run_pipeline(
 
     def run_stage(stage: int, poly: PolynomialEvaluator) -> SupportWitness:
         """Search, stopping at the stage budget, then shrink the witness point."""
-        stage_seed = child_seed(seed, attempt, stage)
+        stage_seed = child_seed(attempt_seed, stage)
         try:
             found = support_restriction_search(poly, stage_seed, stop_at=budgets[stage])
             return shrink_witness(poly, found, stage_seed)
         except KeyLemmaStageError as exc:
             raise KeyLemmaStageError(f"stage P{stage}: {exc}") from None
-
-    # every stage evaluator below returns det(M mod RANK_PRIME) of its stage
-    # matrix M, built from residues: nonzero proves det(M) nonzero, and a
-    # zero only rejects the sample
 
     # stage 0: the determinant itself
     w0 = run_stage(0, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(build_mod(x))))
@@ -563,67 +653,17 @@ def _run_pipeline(
 
     points = {0: w0.point}  # each slot's witness point, the coordinates of alpha^i
     fixed_mod: dict[int, list[list[int]]] = {}  # adj0 * alpha^i, mod RANK_PRIME
+    supports = [w0.support]
 
-    def fix(slot: int, coords: Sequence[int]) -> None:
-        points[slot] = coords
-        fixed_mod[slot] = normalized(coords)
-
-    # stage 1: middle slices v_2 .. v_{2p-1}
-    middles = list(range(2, 2 * p))
-    if p == 1:
-        # no middle slices exist; fix v_2 = v_2p here against a seeded
-        # auxiliary matrix so the stage budget n * binom(2,2) = n is used
-        rng_aux = random.Random(child_seed(seed, attempt, 0xA0))
-        aux = [[rng_aux.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        w1 = run_stage(
-            1,
-            PolynomialEvaluator(
-                arity, n, lambda x: det_mod_rows(commutator_mod(aux, normalized(x)))
-            ),
-        )
-        support1 = w1.support
-        fix(2, w1.point)
-    else:
-        pairs = _middle_pairs(p)
-        slot_of = {m: s for s, m in enumerate(middles)}
-
-        def eval_stage1(x: Sequence) -> int:
-            mats = {
-                m: normalized(x[slot_of[m] * arity : (slot_of[m] + 1) * arity])
-                for m in middles
-            }
-            value = 1
-            for a, b in pairs:
-                value = value * det_mod_rows(commutator_mod(mats[a], mats[b])) % RANK_PRIME
-                if value == 0:
-                    break
-            return value
-
-        w1 = run_stage(1, PolynomialEvaluator(len(middles) * arity, 2 * n * len(pairs), eval_stage1))
-        used = set()
-        for var in w1.support:
-            used.add(var % arity)
-        support1 = tuple(sorted(used))
-        for m in middles:
-            fix(m, w1.point[slot_of[m] * arity : (slot_of[m] + 1) * arity])
-
-    # stage 2: v_1 against the fixed v_2; [V, X_2] = V X_2 - X_2 V is linear in V
-    bracket2 = linear_map_mod(n, 1, [(0, 0, 1, None, fixed_mod[2]), (0, 0, -1, fixed_mod[2], None)])
-    w2 = run_stage(2, PolynomialEvaluator(arity, n, lambda x: det_mod_rows(bracket2(normalized(x)))))
-    fix(1, w2.point)
-
-    # stage 3: the last slice v_2p through the Schur complement S of the
-    # grid's +-diag([X_1, X_2]) corner, which is linear in v_2p; det(S) is
-    # det(grid) up to a unit, so every sample gets the same verdict
-    if p == 1:
-        support3: tuple[int, ...] = ()
-    else:
-        schur = _schur_map(fixed_mod, n, p)
-        w3 = run_stage(
-            3, PolynomialEvaluator(arity, budgets[3], lambda x: det_mod_rows(schur(normalized(x))))
-        )
-        support3 = w3.support
-        points[2 * p] = w3.point
+    for index, stage in enumerate(_STAGES[p], start=1):
+        evaluate = stage.build(fixed_mod, normalized, n, p, attempt_seed)
+        found = run_stage(index, PolynomialEvaluator(len(stage.slots) * arity, stage.degree(n), evaluate))
+        # variable v of the joint coordinates weighs basis vector v mod n^2
+        supports.append(tuple(sorted({v % arity for v in found.support})))
+        for slot, k in zip(stage.slots, range(0, len(found.point), arity)):
+            points[slot] = found.point[k : k + arity]
+            fixed_mod[slot] = normalized(points[slot])
+    supports += [()] * (len(budgets) - len(supports))  # budgets a shorter list leaves unused
 
     # the exact alphas, built once; a failed final check retries the run
     entries = _basis_entries(basis)
@@ -633,15 +673,9 @@ def _run_pipeline(
     except ValueError as exc:
         raise KeyLemmaStageError(f"final: {exc}") from None
 
-    union = set(w0.support) | set(support1) | set(w2.support) | set(support3)
+    union = set().union(*supports)
     witness = KeyLemmaWitness(
-        n=n,
-        p=p,
-        seed=seed,
-        support0=w0.support,
-        support1=tuple(sorted(support1)),
-        support2=w2.support,
-        support3=tuple(sorted(support3)),
+        n, p, seed, *supports,  # support0 .. support3
         alphas=alphas,
         h_achieved=n * n - len(union),
         h_required=h_value(n, p),
@@ -651,6 +685,11 @@ def _run_pipeline(
     _check_counts(witness)
     _check_alphas_in_supports(witness, basis)
     return witness
+
+
+def _square(coords: Sequence, n: int) -> ExactMatrix:
+    """The n x n matrix with the n^2 entries coords, row-major."""
+    return ExactMatrix([list(coords[i * n : (i + 1) * n]) for i in range(n)])
 
 
 def skew_commutator_matrix(xs: Sequence[ExactMatrix], n: int) -> ExactMatrix:
@@ -701,9 +740,7 @@ def refined_p2_degree(n: int, seed: int = 0) -> int:
     arity = n * n
 
     def evaluate(x: Sequence) -> Fraction:
-        v3 = ExactMatrix([list(x[i * n : (i + 1) * n]) for i in range(n)])
-        v4 = ExactMatrix([list(x[arity + i * n : arity + (i + 1) * n]) for i in range(n)])
-        m = skew_commutator_matrix([None, v1, v2, v3, v4], n)
+        m = skew_commutator_matrix([None, v1, v2, _square(x[:arity], n), _square(x[arity:], n)], n)
         return det_exact(big_identity + a_inv * (m - a))
 
     poly = PolynomialEvaluator(2 * arity, 6 * n, evaluate)
@@ -719,22 +756,16 @@ def reduced_diagonal_degree(n: int, p: int, seed: int = 0) -> tuple[int, int]:
     constant 1 and both are 0.
     """
     pairs = _middle_pairs(p)
-    middles = list(range(2, 2 * p))
-    slot_of = {m: s for s, m in enumerate(middles)}
     arity = n * n
 
     def evaluate(x: Sequence) -> Fraction:
-        mats = {
-            m: ExactMatrix(
-                [list(x[slot_of[m] * arity + i * n : slot_of[m] * arity + (i + 1) * n]) for i in range(n)]
-            )
-            for m in middles
-        }
+        # slot m of the middle slices is the chunk of x from (m - 2) * n^2
+        mats = [_square(x[k : k + arity], n) for k in range(0, len(x), arity)]
         value = Fraction(1)
         for a, b in pairs:
-            value *= det_exact(commutator(mats[a], mats[b]))
+            value *= det_exact(commutator(mats[a - 2], mats[b - 2]))
         return value
 
     expected = 2 * n * len(pairs)
-    poly = PolynomialEvaluator(len(middles) * arity, max(expected, 1), evaluate)
+    poly = PolynomialEvaluator((2 * p - 2) * arity, max(expected, 1), evaluate)
     return expected, degree_along_line(poly, child_seed(seed, 0xD3))

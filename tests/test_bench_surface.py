@@ -24,7 +24,7 @@ def load(name):
     return module
 
 
-def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
+def check_traced_keylemma_run(capsys, n, p):
     tracer_module, workloads = load("tracer"), load("workloads")
     assert next(iter(inspect.signature(flattening.assemble).parameters)) == "sym"
     tracer = tracer_module.Tracer()
@@ -33,7 +33,7 @@ def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
         assert tracer.installed > 0
         assert cli.main(["flatten", "--p", "2", "--numeric", "--n", "2"]) == 0
         capsys.readouterr()
-        assert cli.main(["keylemma", "--n", "4", "--p", "2"]) == 0
+        assert cli.main(["keylemma", "--n", n, "--p", p]) == 0
         witness = json.loads(capsys.readouterr().out)
     finally:
         tracer.uninstall()
@@ -44,3 +44,12 @@ def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
     assert evaluations > 0
     assert tracer.counts["keylemma.evaluate.zero_evaluations"] <= evaluations
     assert workloads._check_witness(witness) == []
+
+
+def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
+    check_traced_keylemma_run(capsys, "4", "2")
+
+
+def test_traced_p1_keylemma_run_keeps_the_benchmark_surface(capsys):
+    # the benchmark replays p = 1 witnesses too (n = 6 and 8)
+    check_traced_keylemma_run(capsys, "3", "1")

@@ -113,6 +113,22 @@ def test_crossover_absent_within_range():
     assert c.first_geq is None and c.monotone_after is None
 
 
+@pytest.mark.parametrize("a, b", [("mr:3", "blaser"), ("landsberg:2", "mr_p2_refined"), ("strassen", "mr:1")])
+def test_crossover_is_the_scan_of_bound_value_with_binomials_taken_once(monkeypatch, a, b):
+    n_max = 120
+    values = [(bound_value(kind(a), n), bound_value(kind(b), n)) for n in range(1, n_max + 1)]
+    first = lambda test: next((n for n, (va, vb) in enumerate(values, 1) if test(va, vb)), None)
+    calls = []
+    real_comb = math.comb
+    monkeypatch.setattr(bounds.math, "comb", lambda *args: calls.append(args) or real_comb(*args))
+    c = crossover(kind(a), kind(b), n_max)
+    assert c.first_geq == first(lambda va, vb: va.value >= vb.value)
+    assert c.first_strict == first(lambda va, vb: va.value > vb.value)
+    assert c.first_geq_ceiling == first(lambda va, vb: va.ceiling >= vb.ceiling)
+    assert c.first_strict_ceiling == first(lambda va, vb: va.ceiling > vb.ceiling)
+    assert len(calls) <= 4  # two binomials per mr kind, one per landsberg kind, not per n
+
+
 def test_best_mr_matches_exhaustive_scan():
     for n in (1, 5, 10, 50, 200):
         p_star, report = best_mr(n)
@@ -369,6 +385,25 @@ def test_certify_rejects_covectors_of_the_wrong_shape(monkeypatch, count, length
     draw = [[rng.randint(-9, 9) for _ in range(length)] for _ in range(count)]
     with pytest.raises(ValueError, match="need 3 covectors of length dimA = 9"):
         certify_border_rank(matmul_tensor(3, 3, 3), 1, alphas=draw)
+
+
+def test_certify_draws_each_trial_when_it_ranks_it(monkeypatch):
+    # draw k comes from random.Random(_child_seed(seed, k)) and is made only
+    # after draw k - 1 was ranked, so memory does not grow with trials
+    events = []
+    real_draw, real_rank = bounds._draw, bounds.flattening_rank_mod
+    monkeypatch.setattr(bounds, "_draw", lambda *args: events.append("draw") or real_draw(*args))
+    monkeypatch.setattr(
+        bounds, "flattening_rank_mod", lambda *args: events.append("rank") or real_rank(*args)
+    )
+    certificate = certify_border_rank(matmul_tensor(2, 2, 2), 1, seed=4, trials=5)
+    assert events == ["draw", "rank"] * 5
+    assert certificate.trials == len(certificate.trial_ranks) == 5
+    best = certificate.trial_ranks.index(certificate.flattening_rank)
+    rng = random.Random(bounds._child_seed(4, best))
+    assert certificate.alphas == tuple(
+        tuple(Fraction(rng.randint(-9, 9)) for _ in range(4)) for _ in range(3)
+    )
 
 
 def test_certificate_needs_a_trial():

@@ -7,12 +7,14 @@ import pytest
 
 from koszul_rank.cli import (
     MAX_BOUNDS_P,
+    MAX_CERTIFY_TRIALS,
     MAX_CROSSOVER_N,
     MAX_DIMS_PRODUCT,
     MAX_KEYLEMMA_N,
     _flattening_too_large,
     main,
 )
+from koszul_rank import keylemma
 from koszul_rank.keylemma import KeyLemmaWitness, elementary_basis, validate_witness
 from koszul_rank.bounds import BoundKind, crossover
 from koszul_rank.exact_linalg import matrix_from_json
@@ -363,6 +365,12 @@ def test_flatten_unsigned_golden_output(capsys, p, commutators):
         ("bounds", "--n", "5", "--p", "8000"),
         ("keylemma", "--n", "4", "--p", "3"),
         ("keylemma", "--n", "4", "--p", "0"),
+        ("certify", "--matmul", "3,3,3", "--p", "1", "--trials", str(MAX_CERTIFY_TRIALS + 1)),
+        ("certify", "--matmul", "3,3,3", "--p", "1", "--trials", "300000"),
+        ("crossover", "--a", "landsberg:1000000", "--b", "blaser", "--n-max", "2"),
+        ("crossover", "--a", "mr:10000000", "--b", "blaser"),
+        ("crossover", "--a", "blaser", "--b", f"mr:{MAX_BOUNDS_P + 1}", "--n-max", "2"),
+        ("keylemma", "--n", "2", "--p", "3"),
     ],
 )
 def test_bad_or_oversized_input_exits_2(capsys, argv):
@@ -371,6 +379,24 @@ def test_bad_or_oversized_input_exits_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_crossover_takes_p_up_to_the_bounds_cap(capsys):
+    code, out = run(capsys, "crossover", "--a", f"landsberg:{MAX_BOUNDS_P}", "--b", "blaser", "--n-max", "3")
+    assert code == 0 and f"landsberg:{MAX_BOUNDS_P}" in out
+
+
+def test_keylemma_with_more_alphas_than_matrix_dimensions_exits_3_at_once(capsys, monkeypatch):
+    # 2p + 1 = 5 alphas cannot be independent among 2 x 2 matrices
+    monkeypatch.setattr(keylemma, "_run_pipeline", lambda *args: pytest.fail("an attempt ran"))
+    assert main(["keylemma", "--n", "2", "--p", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: p too large for n")
+
+
+def test_keylemma_p_without_a_stage_list_exits_2_before_the_basis_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(keylemma, "elementary_basis", lambda n: pytest.fail("basis built"))
+    assert main(["keylemma", "--n", "4", "--p", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: --p ")
 
 
 @pytest.mark.parametrize(

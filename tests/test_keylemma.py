@@ -195,6 +195,34 @@ def test_key_lemma_rejects_bad_inputs():
         key_lemma_search(2, 1, basis=[ExactMatrix.identity(2)] * 4, seed=0)
 
 
+def test_key_lemma_rejects_more_alphas_than_matrix_dimensions(monkeypatch):
+    # 2p + 1 = 5 alphas cannot be independent in the 4-dimensional space of
+    # 2 x 2 matrices; the check runs before the basis is built
+    monkeypatch.setattr(keylemma, "elementary_basis", lambda n: pytest.fail("basis built"))
+    with pytest.raises(ValueError, match="p too large for n"):
+        key_lemma_search(2, 2, seed=0)
+
+
+@pytest.mark.parametrize("p", sorted(keylemma._STAGES))
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stage_lists_fix_every_slot_once_within_the_budgets(n, p):
+    # a refined p = 2 list or a p = 3 list must pass this too
+    stages = keylemma._STAGES[p]
+    budgets = keylemma._stage_budgets(n, p)
+    slots = [0] + [slot for stage in stages for slot in stage.slots]
+    assert sorted(slots) == list(range(2 * p + 1))
+    for index, stage in enumerate(stages, start=1):
+        assert stage.degree(n) <= budgets[index], f"stage {index}"
+    assert len(stages) == sum(1 for budget in budgets[1:] if budget)
+    assert all(budgets[1 : len(stages) + 1])
+
+
+def test_child_seed_tags_compose():
+    # the pipeline derives stage seeds as child_seed(child_seed(seed, attempt), stage)
+    for seed, a, b in [(0, 0, 1), (5, 3, 0xA0), (-7, 2**70, 4), (2**64 + 3, 1, 2)]:
+        assert child_seed(child_seed(seed, a), b) == child_seed(seed, a, b)
+
+
 def test_basis_span_check_is_modular_first(monkeypatch):
     # rank_mod == n^2 proves that the basis spans; the exact elimination of
     # the n^2 x n^2 stack runs only when the modular rank comes out short
