@@ -59,7 +59,8 @@ MAX_CROSSOVER_N = 100_000  # crossover --n-max: one exact evaluation per n
 # bounds --p and the p of crossover's kinds: binomials of about 2p bits, two
 # table rows per p for bounds, one exact evaluation per n for crossover
 MAX_BOUNDS_P = 1000
-# certify --trials: one flattening rank per trial, each draw made when it is ranked
+# certify --trials (one flattening rank per trial, each draw made when it is
+# ranked) and verify --trials (one seeded check per trial and n)
 MAX_CERTIFY_TRIALS = 1000
 
 
@@ -264,8 +265,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0 <= args.p <= MAX_SYMBOLIC_P or args.n < 0 or args.trials < 0:
-        return _input_error(f"need 0 <= --p <= {MAX_SYMBOLIC_P}, --n >= 0 and --trials >= 0")
+    if not 0 <= args.p <= MAX_SYMBOLIC_P or args.n < 0 or not 0 <= args.trials <= MAX_CERTIFY_TRIALS:
+        return _input_error(
+            f"need 0 <= --p <= {MAX_SYMBOLIC_P}, --n >= 0 and 0 <= --trials <= {MAX_CERTIFY_TRIALS}"
+        )
     suite_p = {"strassen": 1, "p2": 2}.get(args.suite)
     if suite_p and _flattening_too_large(suite_p, args.n):
         return _input_error(f"flattening side exceeds {MAX_FLATTENING_SIDE}")

@@ -4,7 +4,12 @@ Everything downstream (flattening ranks, determinant identities, border-rank
 certificates) reduces to exact determinants and ranks, so this module is the
 workhorse.  Matrix entries are Python ``int`` when integral and
 ``fractions.Fraction`` only when truly rational, so products of integer
-matrices never touch Fraction arithmetic.  Determinants and ranks go through
+matrices never touch Fraction arithmetic.  A product with a rational factor
+runs on integers too: each row of the left factor and each column of the
+right one is scaled to integers by the lcm of its denominators, and each
+entry is one integer dot product divided by the two scales, one Fraction per
+entry instead of one gcd-normalizing Fraction operation per term.
+Determinants and ranks go through
 fraction-free (Bareiss) elimination on an integer-scaled copy of the matrix,
 which keeps intermediate entries polynomially sized instead of letting
 rational numerators blow up.
@@ -83,20 +88,23 @@ _INT_ONLY = frozenset({int})
 class ExactMatrix:
     """Dense row-major matrix of exact rationals (int or Fraction entries)."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_integral")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = []
+        integral = True  # every entry an int: products take the plain integer path
         for row in entries:
             row = tuple(row)
             if not _INT_ONLY.issuperset(map(type, row)):  # the common all-int row skips _coerce
                 row = tuple(map(_coerce, row))
+                integral = integral and _INT_ONLY.issuperset(map(type, row))
             rows.append(row)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self._e = tuple(rows)
+        self._integral = integral
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -160,9 +168,21 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("incompatible shapes")
-            cols = other.transpose()._e
+            if self._integral and other._integral:
+                cols = other.transpose()._e
+                return ExactMatrix(
+                    [[sum(map(mul, row, col)) for col in cols] for row in self._e]
+                )
+            # (L_i / d_i) . (R_j / e_j) = (L_i . R_j) / (d_i e_j): one integer dot
+            # product and one Fraction per entry, which __init__ stores as an
+            # int when it is integral
+            rows, row_dens = _scaled_rows(self._e)
+            cols, col_dens = _scaled_rows(zip(*other._e))
             return ExactMatrix(
-                [[sum(map(mul, row, col)) for col in cols] for row in self._e]
+                [
+                    [Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, col_dens)]
+                    for row, d in zip(rows, row_dens)
+                ]
             )
         scalar = _coerce(other)
         return ExactMatrix([[a * scalar for a in r] for r in self._e])
@@ -189,18 +209,22 @@ def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     return x * y - y * x
 
 
+def _scaled_rows(rows: Iterable[Sequence[Entry]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms."""
+    grid: list[list[int]] = []
+    dens: list[int] = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row)) if row else 1
+        # integral entries are stored as int, so a row of lcm 1 copies as is
+        grid.append(list(row) if d == 1 else [x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return grid, dens
+
+
 def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; det(m) = det(grid) / scale."""
-    grid: list[list[int]] = []
-    scale = 1
-    for row in m:
-        d = math.lcm(*(x.denominator for x in row)) if row else 1
-        if d == 1:  # integral entries are stored as int
-            grid.append(list(row))
-            continue
-        scale *= d
-        grid.append([x.numerator * (d // x.denominator) for x in row])
-    return grid, scale
+    grid, dens = _scaled_rows(m)
+    return grid, math.prod(dens)
 
 
 def _bareiss(a: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int]:
@@ -411,15 +435,17 @@ def linear_map_mod(
 ) -> Callable[[Grid], list[list[int]]]:
     """The affine map V -> sum of sign * P V Q plus constants, tabulated once, mod prime.
 
-    V is an n x n grid with entries in [0, prime).  The image is a grid of
-    blocks x blocks n x n blocks: each term (I, J, sign, P, Q) adds
+    V is an n x n grid with entries in (-prime, prime).  The image is a grid
+    of blocks x blocks n x n blocks: each term (I, J, sign, P, Q) adds
     sign * P V Q to block (I, J), with None for an identity factor, and each
     constant (I, J, sign, C) adds sign * C.  The image of each matrix unit
     E_ab is reduced into [0, prime) and packed into one int, in slots of
-    2 bits(prime) + bits(n^2) + 1 bits rounded up to whole bytes.  A sum of
-    n^2 products of two residues plus a residue fits in a slot, so the
-    returned function costs one multiply-add per entry of V and one
-    unpacking mod prime, and returns the rows of the image.
+    2 bits(prime) + bits(n^2) + 1 bits rounded up to whole bytes.  A slot of
+    sum(V_ab * image(E_ab)) then lies within +-bound = +-n^2 (prime - 1)^2,
+    so adding a multiple of prime at least bound to every slot makes each
+    slot nonnegative, and the lifted slot plus a constant's residue still
+    fits.  The returned function costs one multiply-add per entry of V and
+    one unpacking mod prime, and returns the rows of the image.
     """
     side = blocks * n
     width = (2 * prime.bit_length() + (n * n).bit_length() + 8) // 8
@@ -451,7 +477,8 @@ def linear_map_mod(
                     else:
                         add_row(image, block_row, block_col, i, [f * y for y in right[b]])
             table.append(pack(image))
-    offset = pack(base)
+    lift = -(-n * n * (prime - 1) ** 2 // prime) * prime
+    offset = pack(base) + int.from_bytes(lift.to_bytes(width, "little") * (side * side), "little")
     size, row_size = side * side * width, side * width
 
     def apply(v: Grid) -> list[list[int]]:

@@ -60,10 +60,20 @@ whose side n*(binom(2p,p+1) - binom(2p-2,p-1)) is the stage budget.
 det(grid) = +-det(C) * det(S) with det(C) = +-det([X_1, X_2])^binom(2p-2,p-1),
 a unit mod the prime because stage 2 accepted det([X_1, X_2]); so the unit
 factor leaves every verdict unchanged, and the search takes the path the
-whole grid would give it.  At p = 2 both [V, X_2] and S are affine in the
-normalized sample V, so each of stages 2 and 3 tabulates its map once per
-attempt with exact_linalg.linear_map_mod, and an evaluation costs one
-multiply-add per entry of V, one unpacking and one det_mod_rows.
+whole grid would give it.
+
+Every stage after stage 0 but p = 2's stage 1 is linear in its normalized
+sample V = adj(alpha^0) X: [aux, V] at p = 1, [V, X_2], and S.  Each
+tabulates its map once per attempt with exact_linalg.linear_map_mod, with
+adj(alpha^0) folded into the table's factors, so the table takes the
+residue rows of X (the sample's basis combination, each entry reduced to
+its least absolute residue, so an integer basis keeps small coordinates
+small) and V is never formed.  The stage matrix has the residues
+V would give it, so every verdict is the same, and an evaluation costs one
+multiply-add per entry of X, one unpacking and one det_mod_rows.  p = 2's
+stage 1 is bilinear in its two slices and normalizes each sample with one
+mul_mod.  Sample points are drawn coordinate by coordinate with
+getrandbits, exactly as random.randint would draw them (_random_point).
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import mr_coefficient
 from .exact_linalg import (
@@ -105,6 +115,8 @@ from .tensor_core import SliceFamily
 # Random points tried per candidate support before it is rejected; the first
 # full-support test tries twice as many, and each escalation round 8 times more.
 _SAMPLE_BUDGET = 4
+# least absolute residues mod RANK_PRIME lie in [-_HALF, _HALF]
+_HALF = RANK_PRIME // 2
 
 
 class KeyLemmaStageError(RuntimeError):
@@ -132,6 +144,26 @@ class SupportWitness:
     value: Entry  # whatever poly.evaluate returned: exact or a residue
 
 
+def _random_point(rng: random.Random, arity: int, support: Iterable[int], span: int) -> list[int]:
+    """A point zero off support, each coordinate what rng.randint(-span, span) draws.
+
+    CPython's randint(-span, span) is -span + getrandbits(k), with k the bit
+    length of the width 2 span + 1, redrawn while it is not below the width;
+    drawing that directly skips randint's call chain and leaves the stream
+    unchanged.
+    """
+    getrandbits = rng.getrandbits
+    width = 2 * span + 1
+    k = width.bit_length()
+    point = [0] * arity
+    for i in support:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        point[i] = r - span
+    return point
+
+
 def support_restriction_search(
     poly: PolynomialEvaluator,
     seed: int = 0,
@@ -156,9 +188,7 @@ def support_restriction_search(
 
     def sample(support: Sequence[int], budget: int) -> Optional[tuple[tuple[int, ...], Entry]]:
         for _ in range(budget):
-            point = [0] * poly.arity
-            for i in support:
-                point[i] = rng.randint(-span, span)
+            point = _random_point(rng, poly.arity, support, span)
             value = poly.evaluate(point)
             if value != 0:
                 return tuple(point), value
@@ -208,9 +238,7 @@ def shrink_witness(
     rng = random.Random(child_seed(seed, 0x5A11))
     span = 99
     for _ in range(24):
-        point = [0] * poly.arity
-        for i in witness.support:
-            point[i] = rng.randint(-span, span)
+        point = _random_point(rng, poly.arity, witness.support, span)
         value = poly.evaluate(point)
         if value != 0:
             return SupportWitness(witness.support, tuple(point), value)
@@ -446,17 +474,19 @@ def _middle_pairs(p: int) -> list[tuple[int, int]]:
 
 
 def _schur_map(
-    fixed: dict[int, list[list[int]]], n: int, p: int, prime: int = RANK_PRIME
+    fixed: dict[int, list[list[int]]], adj0: Optional[Grid], n: int, p: int, prime: int = RANK_PRIME
 ) -> Callable[[Sequence[Sequence[int]]], list[list[int]]]:
-    """V -> S mod prime, for the slices fixed[1 .. 2p-1] and X_2p = V.
+    """X -> S mod prime, for the slices fixed[1 .. 2p-1] and X_2p = adj0 X.
 
     S = B - A C^-1 D is the Schur complement of schur_terms(p).  A term
     without X_2p is a constant of linear_map_mod; in the others, the factor
-    [X_a, V] turns the term into two of its sandwiches,
+    [X_a, adj0 X] turns the term into two of its sandwiches,
 
-        sign * L [X_a, V] R = sign * (L X_a) V R - sign * L V (X_a R).
+        sign * L [X_a, adj0 X] R = sign * (L X_a adj0) X R - sign * (L adj0) X (X_a R).
 
-    Raises KeyLemmaStageError when [X_1, X_2] is singular mod prime.
+    adj0 None stands for the identity, as every None factor does here, so X
+    is then X_2p itself.  Raises KeyLemmaStageError when [X_1, X_2] is
+    singular mod prime.
     """
     k = invert_mod(commutator_mod(fixed[1], fixed[2], prime), prime)
     if k is None:
@@ -489,13 +519,13 @@ def _schur_map(
                 right = reduce(product, factors[at + 1 :], None)
                 x_a = fixed[term.pairs[at // 2][0]]
                 terms += [
-                    (bi, bj, term.sign, product(left, x_a), right),
-                    (bi, bj, -term.sign, left, product(x_a, right)),
+                    (bi, bj, term.sign, product(product(left, x_a), adj0), right),
+                    (bi, bj, -term.sign, product(left, adj0), product(x_a, right)),
                 ]
     return linear_map_mod(n, len(blocks), terms, constants, prime)
 
 
-_Normalize = Callable[[Sequence[int]], Grid]  # coordinates -> their adj(alpha^0) * alpha mod RANK_PRIME
+_Residue = Callable[[Sequence[int]], Grid]  # coordinates -> their alpha mod RANK_PRIME, least absolute residues
 _Evaluate = Callable[[Sequence[int]], int]  # coordinates -> a det residue
 
 
@@ -504,32 +534,42 @@ class _Stage:
     """One search stage after stage 0.
 
     slots are the slices it fixes; its sample holds n^2 coordinates per slot,
-    in this order.  degree(n) is its degree bound.  build(fixed, normalized,
-    n, p, seed) turns the slices fixed so far (adj(alpha^0) * alpha^i mod
-    RANK_PRIME, by slot), the map from coordinates to such a slice, and the
-    attempt's seed into the evaluator.  It returns det(M mod RANK_PRIME) of
-    the stage matrix M: nonzero proves det(M) nonzero, and a zero only
-    rejects the sample.
+    in this order.  degree(n) is its degree bound.  build(fixed, adj0,
+    residue, n, p, seed) turns the slices fixed so far (adj0 * alpha^i mod
+    RANK_PRIME, by slot), adj0 = adj(alpha^0) mod RANK_PRIME, the map from
+    basis coordinates to the residue rows of their alpha, and the attempt's
+    seed into the evaluator.  A stage linear in the normalized slice
+    V = adj0 X folds adj0 into its linear_map_mod table, which then takes
+    the residue rows of X itself.  The evaluator returns det(M mod
+    RANK_PRIME) of the stage matrix M: nonzero proves det(M) nonzero, and a
+    zero only rejects the sample.
     """
 
     slots: tuple[int, ...]
     degree: Callable[[int], int]
-    build: Callable[[dict[int, Grid], _Normalize, int, int, int], _Evaluate]
+    build: Callable[[dict[int, Grid], Grid, _Residue, int, int, int], _Evaluate]
 
 
-def _aux_bracket(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
-    """det([aux, V]) against a seeded auxiliary matrix, for p = 1's lone slot v_2."""
+def _aux_bracket(fixed: dict[int, Grid], adj0: Grid, residue: _Residue, n: int, p: int, seed: int) -> _Evaluate:
+    """det([aux, V]) against a seeded auxiliary matrix, for p = 1's lone slot v_2.
+
+    [aux, adj0 X] = (aux adj0) X - adj0 X aux is linear in X.
+    """
     rng = random.Random(child_seed(seed, 0xA0))
     aux = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-    return lambda x: det_mod_rows(commutator_mod(aux, normalized(x)))
+    bracket = linear_map_mod(n, 1, [(0, 0, 1, mul_mod(aux, adj0), None), (0, 0, -1, adj0, aux)])
+    return lambda x: det_mod_rows(bracket(residue(x)))
 
 
-def _middle_product(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
-    """Product of det([X_a, X_b]) over the middle pairs of X_2 .. X_{2p-1}."""
+def _middle_product(fixed: dict[int, Grid], adj0: Grid, residue: _Residue, n: int, p: int, seed: int) -> _Evaluate:
+    """Product of det([X_a, X_b]) over the middle pairs of X_2 .. X_{2p-1}.
+
+    Bilinear in the sampled slices, so each sample is normalized by adj0.
+    """
     pairs, arity = _middle_pairs(p), n * n
 
     def evaluate(x: Sequence[int]) -> int:
-        mats = [normalized(x[k : k + arity]) for k in range(0, len(x), arity)]
+        mats = [mul_mod(adj0, residue(x[k : k + arity])) for k in range(0, len(x), arity)]
         value = 1
         for a, b in pairs:
             value = value * det_mod_rows(commutator_mod(mats[a - 2], mats[b - 2])) % RANK_PRIME
@@ -540,20 +580,20 @@ def _middle_product(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: i
     return evaluate
 
 
-def _bracket_x2(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
-    """det([V, X_2]); [V, X_2] = V X_2 - X_2 V is linear in V."""
-    bracket = linear_map_mod(n, 1, [(0, 0, 1, None, fixed[2]), (0, 0, -1, fixed[2], None)])
-    return lambda x: det_mod_rows(bracket(normalized(x)))
+def _bracket_x2(fixed: dict[int, Grid], adj0: Grid, residue: _Residue, n: int, p: int, seed: int) -> _Evaluate:
+    """det([V, X_2]); [adj0 X, X_2] = adj0 X X_2 - (X_2 adj0) X is linear in X."""
+    bracket = linear_map_mod(n, 1, [(0, 0, 1, adj0, fixed[2]), (0, 0, -1, mul_mod(fixed[2], adj0), None)])
+    return lambda x: det_mod_rows(bracket(residue(x)))
 
 
-def _schur_det(fixed: dict[int, Grid], normalized: _Normalize, n: int, p: int, seed: int) -> _Evaluate:
+def _schur_det(fixed: dict[int, Grid], adj0: Grid, residue: _Residue, n: int, p: int, seed: int) -> _Evaluate:
     """det(S) for the Schur complement S of the grid's +-diag([X_1, X_2]) corner.
 
-    S is linear in V = X_2p, and det(S) is det(grid) up to a unit, so every
-    sample gets the verdict of the whole grid.
+    S is linear in X with V = X_2p = adj0 X, and det(S) is det(grid) up to
+    a unit, so every sample gets the verdict of the whole grid.
     """
-    schur = _schur_map(fixed, n, p)
-    return lambda x: det_mod_rows(schur(normalized(x)))
+    schur = _schur_map(fixed, adj0, n, p)
+    return lambda x: det_mod_rows(schur(residue(x)))
 
 
 # The stages after stage 0 of each p the pipeline implements; stage k of a
@@ -648,21 +688,22 @@ def _run_pipeline(
     det0 = det_mod_rows([list(row) for row in rows0])
     adj0 = [[det0 * v % RANK_PRIME for v in row] for row in invert_mod(rows0)]
 
-    def normalized(coords: Sequence) -> list[list[int]]:
-        return mul_mod(adj0, build_mod(coords))
+    def residue(coords: Sequence) -> list[list[int]]:
+        """The rows of build_mod(coords) reduced to least absolute residues."""
+        return [[(v + _HALF) % RANK_PRIME - _HALF for v in row] for row in build_mod(coords)]
 
     points = {0: w0.point}  # each slot's witness point, the coordinates of alpha^i
     fixed_mod: dict[int, list[list[int]]] = {}  # adj0 * alpha^i, mod RANK_PRIME
     supports = [w0.support]
 
     for index, stage in enumerate(_STAGES[p], start=1):
-        evaluate = stage.build(fixed_mod, normalized, n, p, attempt_seed)
+        evaluate = stage.build(fixed_mod, adj0, residue, n, p, attempt_seed)
         found = run_stage(index, PolynomialEvaluator(len(stage.slots) * arity, stage.degree(n), evaluate))
         # variable v of the joint coordinates weighs basis vector v mod n^2
         supports.append(tuple(sorted({v % arity for v in found.support})))
         for slot, k in zip(stage.slots, range(0, len(found.point), arity)):
             points[slot] = found.point[k : k + arity]
-            fixed_mod[slot] = normalized(points[slot])
+            fixed_mod[slot] = mul_mod(adj0, build_mod(points[slot]))
     supports += [()] * (len(budgets) - len(supports))  # budgets a shorter list leaves unused
 
     # the exact alphas, built once; a failed final check retries the run

@@ -1,8 +1,9 @@
 """The benchmark's tracer and correctness gate still fit the package surface.
 
-perfbench/tracer.py wraps package functions by name, reads symbolic grids
-through SymbolicBlockMatrix.labels and counts key-lemma samples through the
-evaluate field of each stage's PolynomialEvaluator; perfbench/workloads.py
+perfbench/tracer.py wraps package functions and ExactMatrix.__mul__ by
+name, reads symbolic grids through SymbolicBlockMatrix.labels and counts
+key-lemma samples through the evaluate field of each stage's
+PolynomialEvaluator; perfbench/workloads.py
 replays key-lemma witnesses from the CLI's JSON.  Both are loaded by path
 and only read here.
 """
@@ -33,12 +34,18 @@ def check_traced_keylemma_run(capsys, n, p):
         assert tracer.installed > 0
         assert cli.main(["flatten", "--p", "2", "--numeric", "--n", "2"]) == 0
         capsys.readouterr()
+        matmul_calls = tracer.calls["exact_linalg.matmul"]
+        scalar_mults = tracer.counts["exact_linalg.matmul.scalar_mults"]
         assert cli.main(["keylemma", "--n", n, "--p", p]) == 0
         witness = json.loads(capsys.readouterr().out)
     finally:
         tracer.uninstall()
     assert tracer.installed == 0
     assert tracer.counts["flattening.assemble.blocks_nonzero"] > 0
+    # the tracer wraps ExactMatrix.__mul__ by name; the final exact check of
+    # the key-lemma run multiplies through it
+    assert tracer.calls["exact_linalg.matmul"] > matmul_calls
+    assert tracer.counts["exact_linalg.matmul.scalar_mults"] > scalar_mults
     # a stage evaluator that is not a PolynomialEvaluator would escape this count
     evaluations = tracer.counts["keylemma.evaluate.evaluations"]
     assert evaluations > 0

@@ -371,6 +371,10 @@ def test_flatten_unsigned_golden_output(capsys, p, commutators):
         ("crossover", "--a", "mr:10000000", "--b", "blaser"),
         ("crossover", "--a", "blaser", "--b", f"mr:{MAX_BOUNDS_P + 1}", "--n-max", "2"),
         ("keylemma", "--n", "2", "--p", "3"),
+        ("verify", "--suite", "detlemmas", "--trials", "100000000"),
+        ("verify", "--suite", "strassen", "--n", "2", "--trials", "100000000"),
+        ("verify", "--suite", "p2", "--n", "2", "--trials", "100000000"),
+        ("verify", "--suite", "detlemmas", "--trials", str(MAX_CERTIFY_TRIALS + 1)),
     ],
 )
 def test_bad_or_oversized_input_exits_2(capsys, argv):

@@ -437,7 +437,9 @@ def test_linear_map_mod_is_the_sum_of_its_sandwiches(prime):
     constants = [(1, 1, -1, residues()), (1, 1, 1, residues())]
     apply = linear_map_mod(n, blocks, terms, constants, prime)
     identity = ExactMatrix.identity(n)
-    for v in (residues(), [[prime - 1] * n for _ in range(n)], [[0] * n for _ in range(n)]):
+    signed = [[rng.randrange(1 - prime, prime) for _ in range(n)] for _ in range(n)]
+    extremes = ([[prime - 1] * n for _ in range(n)], [[1 - prime] * n for _ in range(n)], [[0] * n for _ in range(n)])
+    for v in (residues(), signed, *extremes):
         image = [[ExactMatrix.zeros(n, n)] * blocks for _ in range(blocks)]
         for bi, bj, sign, left, right in terms:
             left = identity if left is None else ExactMatrix(left)
@@ -460,6 +462,52 @@ def test_integral_entries_are_ints():
     assert type((third + third + third)[0, 0]) is int
     for built in (ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), m * m.transpose() * 36):
         assert all(type(x) is int for row in built for x in row)
+
+
+@st.composite
+def product_pairs(draw):
+    """Rows of an l x m and an m x r matrix with int and Fraction entries.
+
+    The quotients have either sign, and some are integral (6/3, -4/2).
+    """
+    l, m, r = (draw(st.integers(1, 5)) for _ in range(3))
+    value = INTEGERS | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+    def rows(height, width):
+        return draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=height, max_size=height))
+
+    return rows(l, m), rows(m, r)
+
+
+@PROPERTY
+@given(product_pairs())
+def test_rational_product_is_the_entrywise_sum_of_fractions(pair):
+    x, y = pair
+    product = ExactMatrix(x) * ExactMatrix(y)
+    assert product.shape == (len(x), len(y[0]))
+    for i, row in enumerate(x):
+        for j in range(len(y[0])):
+            expected = sum((Fraction(row[k]) * Fraction(y[k][j]) for k in range(len(y))), Fraction(0))
+            assert product[i, j] == expected
+            assert type(product[i, j]) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_integer_product_builds_no_fraction(monkeypatch):
+    rng = random.Random(8)
+    pairs = [(random_int_matrix(rng, n, n), random_int_matrix(rng, n, n + 1)) for n in (1, 3, 8)]
+    # entries given as integral Fractions are stored as ints, so they count too
+    pairs.append((ExactMatrix([[Fraction(6, 3), Fraction(-4, 2)]]), ExactMatrix([[Fraction(3)], [5]])))
+
+    def refuse(*args):
+        raise AssertionError("an int x int product built a Fraction or scaled a row")
+
+    monkeypatch.setattr(exact_linalg, "Fraction", refuse)
+    monkeypatch.setattr(exact_linalg, "_scaled_rows", refuse)
+    for x, y in pairs:
+        product = x * y
+        expected = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+        assert [list(row) for row in product] == expected
+        assert all(type(v) is int for row in product for v in row)
 
 
 def test_invert_integer_matrix_is_exact():

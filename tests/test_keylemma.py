@@ -19,6 +19,7 @@ from koszul_rank.exact_linalg import (
     det_mod,
     det_mod_rows,
     invert,
+    mul_mod,
     random_int_matrix,
     reduce_mod,
 )
@@ -40,6 +41,30 @@ from koszul_rank import keylemma
 from koszul_rank.keylemma import _matrix_from_coords
 from koszul_rank.tensor_core import SliceFamily
 from oracles import gauss_rank
+
+
+# spans of the search (2^20 * degree) and of shrink_witness (99 * 2^k), and
+# widths 2 span + 1 = 2^k - 1 and 2^k + 1 on either side of a power of two
+# (the width is odd, so 2^k itself never occurs): there the redraw rate of
+# getrandbits jumps from almost 0 to almost 1/2
+DRAW_SPANS = (
+    [1]
+    + [99 * 2**k for k in range(24)]
+    + [2**20 * d for d in range(1, 301)]
+    + [2 ** (k - 1) - 1 + e for k in range(1, 70) for e in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_random_point_draws_the_randint_stream(seed):
+    ours, reference = random.Random(seed), random.Random(seed)
+    support = (0, 2, 3, 6)
+    for span in DRAW_SPANS:
+        expected = [0] * 7
+        for i in support:
+            expected[i] = reference.randint(-span, span)
+        assert keylemma._random_point(ours, 7, support, span) == expected, span
+    assert ours.getstate() == reference.getstate()
 
 
 def det_evaluator(n):
@@ -301,12 +326,11 @@ def test_rational_basis_with_denominators_prime_to_the_prime_validates():
 def run_capturing_stages(monkeypatch, n, p, basis, seed):
     """Run key_lemma_search; return each stage's evaluator and shrunken point.
 
-    Also returns attempt 0's adj(alpha^0) residue rows, the left factor of
-    its first mul_mod.
+    Also returns attempt 0's adj(alpha^0) residue rows, the adj0 argument of
+    its first stage build.
     """
-    polys, points, left_factors = [], [], []
+    polys, points, adj0s = [], [], []
     search, shrink = keylemma.support_restriction_search, keylemma.shrink_witness
-    real_mul = keylemma.mul_mod
 
     def spy_search(poly, *args, **kwargs):
         polys.append(poly)
@@ -317,16 +341,23 @@ def run_capturing_stages(monkeypatch, n, p, basis, seed):
         points.append(found.point)
         return found
 
-    def spy_mul(x, y, *args):
-        left_factors.append(x)
-        return real_mul(x, y, *args)
+    def spy_build(build):
+        def wrapped(fixed, adj0, *args):
+            adj0s.append(adj0)
+            return build(fixed, adj0, *args)
 
+        return wrapped
+
+    stages = {
+        q: tuple(dataclasses.replace(stage, build=spy_build(stage.build)) for stage in stage_list)
+        for q, stage_list in keylemma._STAGES.items()
+    }
     monkeypatch.setattr(keylemma, "support_restriction_search", spy_search)
     monkeypatch.setattr(keylemma, "shrink_witness", spy_shrink)
-    monkeypatch.setattr(keylemma, "mul_mod", spy_mul)
+    monkeypatch.setattr(keylemma, "_STAGES", stages)
     key_lemma_search(n, p, basis=basis, seed=seed)
     assert len(polys) == len(points) == (3 if p == 1 else 4)  # attempt 0 succeeded
-    return polys, points, left_factors[0]
+    return polys, points, adj0s[0]
 
 
 def exact_stage_evaluators(n, p, basis, points, seed):
@@ -443,6 +474,27 @@ def test_stage3_takes_one_det_of_the_schur_complement(monkeypatch):
     assert dets == [keylemma._stage_budgets(n, 2)[3]] == [2 * n]
 
 
+@pytest.mark.parametrize("p, stages", [(2, (2,)), (1, (1, 2))])
+def test_linear_stages_take_residue_rows_without_normalizing(monkeypatch, p, stages):
+    # adj(alpha^0) is folded into the stage table: an evaluation applies it
+    # to the residue rows of the sample and takes one det of its n rows
+    n = 4
+    polys, points, _ = run_capturing_stages(monkeypatch, n, p, elementary_basis(n), seed=0)
+    values = {stage: polys[stage].evaluate(list(points[stage])) for stage in stages}
+    products, dets = [], []
+    real_mul, real_det = keylemma.mul_mod, keylemma.det_mod_rows
+    monkeypatch.setattr(keylemma, "mul_mod", lambda *args: products.append(1) or real_mul(*args))
+    monkeypatch.setattr(
+        keylemma, "det_mod_rows", lambda rows, *args: dets.append(len(rows)) or real_det(rows, *args)
+    )
+    for stage in stages:
+        products.clear()
+        dets.clear()
+        assert polys[stage].evaluate(list(points[stage])) == values[stage] != 0
+        assert products == []
+        assert dets == [n]
+
+
 def split_grid(grid, side):
     """The blocks A, B, C, D of [[A, B], [C, D]], with A side x side."""
     rows = list(grid)
@@ -469,12 +521,12 @@ def test_schur_complement_degree_is_the_stage3_budget(n):
     assert degree_along_line(poly, seed=n) == budget == 2 * n
 
 
-def residue_slices(n):
+def residue_slices(n, count=4):
     entry = st.integers(0, 6)
     return st.lists(
         st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
-        min_size=4,
-        max_size=4,
+        min_size=count,
+        max_size=count,
     )
 
 
@@ -485,7 +537,7 @@ def test_schur_verdict_is_the_full_grid_verdict_mod_7(slices):
     xs = dict(enumerate(slices, start=1))
     corner = det_mod_rows(commutator_mod(xs[1], xs[2], 7), 7) ** 2 % 7
     assume(corner)
-    schur = keylemma._schur_map({i: xs[i] for i in (1, 2, 3)}, n, 2, prime=7)
+    schur = keylemma._schur_map({i: xs[i] for i in (1, 2, 3)}, None, n, 2, prime=7)
     value = det_mod_rows(schur(xs[4]), 7)
     commutators = {(i, j): commutator_mod(xs[i], xs[j], 7) for i in range(1, 5) for j in range(i + 1, 5)}
     full = det_mod_rows(assemble_mod(commutator_pattern(2), commutators, n, 7), 7)
@@ -493,10 +545,21 @@ def test_schur_verdict_is_the_full_grid_verdict_mod_7(slices):
     assert full == corner * value % 7
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(2, 4).flatmap(lambda n: residue_slices(n, 5)))
+def test_schur_map_with_adj0_folded_in_is_the_map_of_adj0_x_mod_7(slices):
+    n = len(slices[0])
+    fixed, adj0, x = dict(enumerate(slices[:3], start=1)), slices[3], slices[4]
+    assume(det_mod_rows(commutator_mod(fixed[1], fixed[2], 7), 7))
+    folded = keylemma._schur_map(fixed, adj0, n, 2, prime=7)
+    plain = keylemma._schur_map(fixed, None, n, 2, prime=7)
+    assert folded(x) == plain(mul_mod(adj0, x, 7))
+
+
 def test_schur_map_names_stage3_when_the_corner_is_singular():
     x = [[1, 2], [3, 4]]
     with pytest.raises(KeyLemmaStageError, match=r"stage P3: \[X_1, X_2\] is singular"):
-        keylemma._schur_map({1: x, 2: x, 3: x}, 2, 2)
+        keylemma._schur_map({1: x, 2: x, 3: x}, None, 2, 2)
 
 
 def test_validate_witness_catches_tampering():
