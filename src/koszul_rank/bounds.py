@@ -35,9 +35,12 @@ smaller on each side.  The rank is unchanged, not estimated:
     positions, so F[(J, b'm+s), (I, c'm+t)] = F'[(J, b'), (I, c')] * delta(s, t)
     entrywise: after a row and column permutation F is the block diagonal of
     m copies of F';
-  * row (J, b'm+s) of F holds exactly the nonzero entries of row (J, b') of
-    F', so exact_linalg._integer_grid scales both by the same integer and
-    the scaled F is again m copies of the scaled F';
+  * F and F' hold the same nonzero entries, so they are stored over the
+    same denominator D, and row (J, b'm+s) of F holds exactly the nonzero
+    integers of row (J, b') of F'.  exact_linalg._integer_grid divides each
+    of the two rows by the same gcd(D, row), which is scaling it by the lcm
+    of its own entries' denominators, so the scaled F is again m copies of
+    the scaled F';
   * the rank of a block-diagonal matrix is the sum of the blocks' ranks over
     any field, so rank_mod(F) = m * rank_mod(F') exactly, and likewise over Q.
 

@@ -6,7 +6,8 @@ invocations produce byte-identical output.  bounds, crossover and verify take
 2 input error, 3 degenerate computation.  Input beyond the size caps below
 (MAX_SYMBOLIC_P for flatten and verify --p) and a keylemma --p without a
 stage list exit 2 before anything is allocated; keylemma with 2p + 1 > n^2
-exits 3, as certify does with 2p + 1 > dimA.
+exits 3, as certify does with 2p + 1 > dimA.  An --output path that cannot
+be written exits 2 with one error line.
 
 certify caps the dense flattening side comb(2p+1, p) * dimB even though a
 matrix multiplication tensor M_{n,l,m} is certified on its reduced
@@ -113,12 +114,17 @@ def _render_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str, se
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(text: str, path: Optional[str]) -> int:
+    """Write text to path ('-' for stdout); EXIT_OK, or EXIT_INPUT_ERROR if path is unwritable."""
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _input_error(f"cannot write --output {path}: {exc}")
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
@@ -156,8 +162,7 @@ def _cmd_bounds(args) -> int:
     text = _render_table(
         ["kind", "n", "m", "p", "value", "ceiling", "vacuous"], rows, args.format, args.seed, notes
     )
-    _emit(text, args.output)
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 def _cmd_crossover(args) -> int:
@@ -187,8 +192,7 @@ def _cmd_crossover(args) -> int:
          "first_strict_ceiling", "monotone_after"],
         rows, args.format, args.seed, notes,
     )
-    _emit(text, args.output)
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 def _cmd_flatten(args) -> int:
@@ -208,11 +212,9 @@ def _cmd_flatten(args) -> int:
         else:
             numeric = assemble(flattening_pattern(args.p), family)
         payload = {"seed": args.seed, "p": args.p, "n": n, "matrix": matrix_to_json(numeric)}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-        return EXIT_OK
+        return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     sym = commutator_pattern(args.p) if args.commutators else flattening_pattern(args.p)
-    _emit(dump_symbolic(sym, signed=not args.unsigned), args.output)
-    return EXIT_OK
+    return _emit(dump_symbolic(sym, signed=not args.unsigned), args.output)
 
 
 def _cmd_certify(args) -> int:
@@ -260,8 +262,7 @@ def _cmd_certify(args) -> int:
         "trial_ranks": list(certificate.trial_ranks),
         "alphas": [vector_to_json(a) for a in certificate.alphas],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    return EXIT_OK
+    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
 
 
 def _cmd_verify(args) -> int:
@@ -293,14 +294,14 @@ def _cmd_verify(args) -> int:
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
             ],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [
             f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks
         ]
         lines.append(f"seed: {args.seed}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
+        text = "\n".join(lines) + "\n"
+    return _emit(text, args.output) or (EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED)
 
 
 def _cmd_keylemma(args) -> int:
@@ -329,8 +330,7 @@ def _cmd_keylemma(args) -> int:
         "grid_det": _fmt_value(witness.grid_det),
         "alphas": [matrix_to_json(a) for a in witness.alphas],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    return EXIT_OK
+    return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

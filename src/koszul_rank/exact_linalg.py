@@ -2,17 +2,16 @@
 
 Everything downstream (flattening ranks, determinant identities, border-rank
 certificates) reduces to exact determinants and ranks, so this module is the
-workhorse.  Matrix entries are Python ``int`` when integral and
-``fractions.Fraction`` only when truly rational, so products of integer
-matrices never touch Fraction arithmetic.  A product with a rational factor
-runs on integers too: each row of the left factor and each column of the
-right one is scaled to integers by the lcm of its denominators, and each
-entry is one integer dot product divided by the two scales, one Fraction per
-entry instead of one gcd-normalizing Fraction operation per term.
-Determinants and ranks go through
-fraction-free (Bareiss) elimination on an integer-scaled copy of the matrix,
-which keeps intermediate entries polynomially sized instead of letting
-rational numerators blow up.
+workhorse.  An ExactMatrix stores int rows over one positive denominator,
+in lowest terms (the gcd of the denominator and all entries is 1), and
+reads an entry back as an int when integral, else a Fraction.  A product is
+one integer product of the two grids over the product of the denominators;
+sums and block assembly first bring their operands to the lcm of the
+denominators.  Determinants and ranks go through fraction-free (Bareiss)
+elimination of an integer grid, each row times the lcm of its own entries'
+denominators, which keeps intermediate entries polynomially sized instead of
+letting rational numerators blow up; invert runs the same fraction-free
+update as a Gauss-Jordan elimination.
 
 The one Bareiss kernel, _bareiss, skips the updates that leave an entry
 unchanged.  Every entry it holds after a pivot step is a minor of its input
@@ -31,10 +30,12 @@ rank_mod_rows and det_mod_rows row-echelon them.  rank_mod and det_mod are
 the ExactMatrix entry points on its integer-scaled copy.  Both are sound in
 one direction only.  rank_mod never exceeds the exact rank, so it may stand
 in for rank_exact only where a lower rank can only weaken a result
-(border-rank certificates), never where it would change a decision
-(independence checks).  A nonzero det_mod proves det != 0, but a zero
-residue proves nothing: it may only reject a sample, never certify a
-vanishing determinant or stand in for a stored exact value.
+(border-rank certificates), never where a short rank would change a
+decision: _independent_rows takes full rank mod the prime as proof of
+independence and decides a short one with rank_exact.  A nonzero det_mod
+proves det != 0, but a zero residue proves nothing: it may only reject a
+sample, never certify a vanishing determinant or stand in for a stored
+exact value.
 
 All four eliminate with one kernel, _echelon_mod, which reduces lazily: a
 column is reduced mod the prime only to pick its pivot (the first row with a
@@ -61,7 +62,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -85,26 +86,39 @@ def _coerce(value) -> Entry:
 _INT_ONLY = frozenset({int})
 
 
-class ExactMatrix:
-    """Dense row-major matrix of exact rationals (int or Fraction entries)."""
+def _scale(rows: Sequence[Sequence[int]], factor: int) -> Sequence[Sequence[int]]:
+    """Every entry times factor; the rows themselves when factor is 1."""
+    return rows if factor == 1 else [[x * factor for x in row] for row in rows]
 
-    __slots__ = ("rows", "cols", "_e", "_integral")
+
+class ExactMatrix:
+    """Dense row-major matrix of exact rationals: int rows over one denominator.
+
+    _e holds the rows as tuples of ints and _den a positive int, and the gcd
+    of _den and all entries is 1, so equal matrices store equal rows.  Entries
+    read back as an int when integral, else a Fraction.
+    """
+
+    __slots__ = ("rows", "cols", "_e", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = []
-        integral = True  # every entry an int: products take the plain integer path
+        rows, dens = [], []
         for row in entries:
             row = tuple(row)
             if not _INT_ONLY.issuperset(map(type, row)):  # the common all-int row skips _coerce
                 row = tuple(map(_coerce, row))
-                integral = integral and _INT_ONLY.issuperset(map(type, row))
+                dens.extend(x.denominator for x in row)
             rows.append(row)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
+        # the lcm of reduced denominators leaves no factor common to all entries
+        den = math.lcm(*dens)
+        if den != 1:
+            rows = [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows]
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self._e = tuple(rows)
-        self._integral = integral
+        self._den = den
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -117,12 +131,12 @@ class ExactMatrix:
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["ExactMatrix"]]) -> "ExactMatrix":
         """Assemble a matrix from a rectangular grid of equally shaped blocks."""
-        out: list[list[Entry]] = []
+        den = math.lcm(*(block._den for block_row in grid for block in block_row))
+        out: list[list[int]] = []
         for block_row in grid:
-            height = block_row[0].rows
-            for i in range(height):
-                out.append([x for block in block_row for x in block.row(i)])
-        return cls(out)
+            parts = [_scale(block._e, den // block._den) for block in block_row]
+            out.extend([x for part in parts for x in part[i]] for i in range(block_row[0].rows))
+        return _over(out, den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,98 +147,102 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self._e[i]
+        return self._e[i] if self._den == 1 else tuple(self[i, j] for j in range(self.cols))
 
     def __getitem__(self, key: tuple[int, int]) -> Entry:
         i, j = key
-        return self._e[i][j]
+        return _coerce(Fraction(self._e[i][j], self._den))
 
     def __iter__(self):
-        return iter(self._e)
+        return iter(self._e) if self._den == 1 else map(self.row, range(self.rows))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self._e == other._e
+        return isinstance(other, ExactMatrix) and self._den == other._den and self._e == other._e
 
     def __hash__(self) -> int:
-        return hash(self._e)
+        return hash((self._e, self._den))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _entrywise(self, op: Callable[[int, int], int], other: "ExactMatrix") -> "ExactMatrix":
+        """op of matching entries, both matrices brought to the lcm of their denominators."""
         if self.shape != other.shape:
             raise ValueError("incompatible shapes")
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        den = math.lcm(self._den, other._den)
+        left, right = _scale(self._e, den // self._den), _scale(other._e, den // other._den)
+        return _over([list(map(op, r1, r2)) for r1, r2 in zip(left, right)], den)
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError("incompatible shapes")
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self._e])
+        return _over([[-a for a in r] for r in self._e], self._den)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("incompatible shapes")
-            if self._integral and other._integral:
-                cols = other.transpose()._e
-                return ExactMatrix(
-                    [[sum(map(mul, row, col)) for col in cols] for row in self._e]
-                )
-            # (L_i / d_i) . (R_j / e_j) = (L_i . R_j) / (d_i e_j): one integer dot
-            # product and one Fraction per entry, which __init__ stores as an
-            # int when it is integral
-            rows, row_dens = _scaled_rows(self._e)
-            cols, col_dens = _scaled_rows(zip(*other._e))
-            return ExactMatrix(
-                [
-                    [Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, col_dens)]
-                    for row, d in zip(rows, row_dens)
-                ]
+            cols = list(zip(*other._e))
+            return _over(
+                [[sum(map(mul, row, col)) for col in cols] for row in self._e], self._den * other._den
             )
         scalar = _coerce(other)
-        return ExactMatrix([[a * scalar for a in r] for r in self._e])
+        return _over(_scale(self._e, scalar.numerator), self._den * scalar.denominator)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self._e)] if self._e else [])
+        return _over(list(zip(*self._e)), self._den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self._e for a in r)
+        return not any(map(any, self._e))
 
     def trace(self) -> Entry:
         if not self.is_square:
             raise ValueError("trace of non-square matrix")
-        return _coerce(sum(self._e[i][i] for i in range(self.rows)))
+        return _coerce(Fraction(sum(self._e[i][i] for i in range(self.rows)), self._den))
+
+
+def _over(rows: Sequence[Sequence[int]], den: int) -> ExactMatrix:
+    """The matrix rows / den, for int rows and den > 0, in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            den //= g
+            rows = [[x // g for x in row] for row in rows]
+    m = ExactMatrix(rows)
+    m._den = den
+    return m
 
 
 def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    """[X, Y] = XY - YX, for square matrices of equal size."""
-    if not (x.is_square and y.is_square and x.shape == y.shape):
-        raise ValueError("incompatible shapes")
+    """[X, Y] = XY - YX, for square matrices of equal size.
+
+    Other shapes raise ValueError: XY and YX are defined and of one shape
+    only when X and Y are square of one size.
+    """
     return x * y - y * x
 
 
-def _scaled_rows(rows: Iterable[Sequence[Entry]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, as ints, and those lcms."""
-    grid: list[list[int]] = []
-    dens: list[int] = []
-    for row in rows:
-        d = math.lcm(*(x.denominator for x in row)) if row else 1
-        # integral entries are stored as int, so a row of lcm 1 copies as is
-        grid.append(list(row) if d == 1 else [x.numerator * (d // x.denominator) for x in row])
-        dens.append(d)
-    return grid, dens
-
-
 def _integer_grid(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; det(m) = det(grid) / scale."""
-    grid, dens = _scaled_rows(m)
-    return grid, math.prod(dens)
+    """Each row times the lcm of its entries' denominators; det(m) = det(grid) / scale.
+
+    For a stored row over the denominator d that lcm is d / g with
+    g = gcd(d, *row), so the grid row is the stored row over g and the scale
+    is the product of the d / g.
+    """
+    if m._den == 1:
+        return [list(row) for row in m._e], 1
+    grid, scale = [], 1
+    for row in m._e:
+        g = math.gcd(m._den, *row)
+        grid.append([x // g for x in row])
+        scale *= m._den // g
+    return grid, scale
 
 
 def _bareiss(a: list[list[int]], ncols: int, stop_at_gap: bool) -> tuple[int, int]:
@@ -317,16 +335,12 @@ def det_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not m.is_square:
         raise ValueError("determinant of non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
     grid, scale = _integer_grid(m)
     return Fraction(_bareiss(grid, m.cols, stop_at_gap=True)[1], scale)
 
 
 def rank_exact(m: ExactMatrix) -> int:
     """Exact rank over the rationals (fraction-free row echelon)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return _bareiss(_integer_grid(m)[0], m.cols, stop_at_gap=False)[0]
 
 
@@ -393,6 +407,15 @@ def det_mod(m: ExactMatrix, prime: int = RANK_PRIME) -> int:
     if not m.is_square:
         raise ValueError("determinant of non-square matrix")
     return det_mod_rows(_integer_grid(m)[0], prime)
+
+
+def _independent_rows(m: ExactMatrix) -> bool:
+    """Whether the rows of m are linearly independent over Q.
+
+    Full rank mod RANK_PRIME proves full rank over Q; only a short modular
+    rank needs the exact elimination to decide.
+    """
+    return rank_mod(m) == m.rows or rank_exact(m) == m.rows
 
 
 def rank_mod_rows(rows: list[list[int]], ncols: int, prime: int = RANK_PRIME) -> int:
@@ -492,41 +515,44 @@ def linear_map_mod(
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse (Gauss-Jordan); raises ValueError on singular input."""
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan; ValueError if singular.
+
+    m = A / den with A an int grid.  Each pivot step maps every other row of
+    [A | Id] to (row * prc - aic * pivot row) / prev, which divides exactly,
+    and leaves it alone when aic == 0 and prc == prev.  The left block ends
+    as prev * Id, so m^-1 = den * A^-1 is den times the right block over prev.
+    """
     if not m.is_square:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    a = [list(m.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m._e)]
+    prev = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), -1)
+        piv = next((i for i in range(c, n) if a[i][c]), -1)
         if piv < 0:
             raise ValueError("matrix is singular")
         a[c], a[piv] = a[piv], a[c]
-        if a[c][c] != 1:  # a unit pivot keeps integer rows integral
-            inv_p = Fraction(1) / a[c][c]  # 1 / int would be a float
-            a[c] = [x * inv_p for x in a[c]]
+        prc = a[c][c]
         for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return ExactMatrix([row[n:] for row in a])
+            aic = a[i][c]
+            if i != c and (aic or prc != prev):
+                a[i] = [(x * prc - aic * y) // prev for x, y in zip(a[i], a[c])]
+        prev = prc
+    factor = m._den if prev > 0 else -m._den
+    return _over(_scale([row[n:] for row in a], factor), abs(prev))
 
 
 def reduce_mod(rows: ExactMatrix | Sequence[Sequence[Entry]], prime: int = RANK_PRIME) -> Optional[list[list[int]]]:
     """Entrywise image in GF(prime) of an ExactMatrix or list of rows.
 
-    Entries of the result lie in [0, prime); None when prime divides a
+    Entries of the result lie in [0, prime); None when prime divides the
     denominator, where the matrix has no image.
     """
-    if any(x.denominator % prime == 0 for row in rows for x in row):
+    m = rows if isinstance(rows, ExactMatrix) else ExactMatrix(rows)
+    if m._den % prime == 0:
         return None
-
-    def residue(x: Entry) -> int:
-        if type(x) is int:
-            return x % prime
-        return x.numerator * pow(x.denominator, -1, prime) % prime
-
-    return [[residue(x) for x in row] for row in rows]
+    inv = pow(m._den, -1, prime)
+    return [[x * inv % prime for x in row] for row in m._e]
 
 
 def invert_mod(rows: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> Optional[list[list[int]]]:

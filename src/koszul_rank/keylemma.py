@@ -91,6 +91,7 @@ from .exact_linalg import (
     Entry,
     ExactMatrix,
     Grid,
+    _independent_rows,
     child_seed,
     commutator,
     commutator_mod,
@@ -100,8 +101,6 @@ from .exact_linalg import (
     invert_mod,
     linear_map_mod,
     mul_mod,
-    rank_exact,
-    rank_mod,
     reduce_mod,
 )
 from .flattening import (
@@ -382,18 +381,9 @@ def _stage_budgets(n: int, p: int) -> tuple[int, int, int, int]:
     return n, n * middle, n, n * (middle - math.comb(2 * p - 2, p - 1))
 
 
-def _independent_rows(m: ExactMatrix) -> bool:
-    """Whether the rows of m are linearly independent over Q.
-
-    Full rank mod RANK_PRIME proves full rank over Q; only a short modular
-    rank needs the exact elimination to decide.
-    """
-    return rank_mod(m) == m.rows or rank_exact(m) == m.rows
-
-
-def _stacked(mats: Sequence, n: int) -> ExactMatrix:
+def _stacked(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     """One row per n x n matrix: its n^2 entries, row-major."""
-    return ExactMatrix([[m[i, j] for i in range(n) for j in range(n)] for m in mats])
+    return ExactMatrix([[x for row in m for x in row] for m in mats])
 
 
 def _grid_det(alphas: tuple[ExactMatrix, ...], n: int, p: int) -> Fraction:
@@ -405,7 +395,7 @@ def _grid_det(alphas: tuple[ExactMatrix, ...], n: int, p: int) -> Fraction:
     """
     if len(alphas) != 2 * p + 1:
         raise ValueError("wrong number of alphas")
-    if not _independent_rows(_stacked(alphas, n)):
+    if not _independent_rows(_stacked(alphas)):
         raise ValueError("alphas are linearly dependent")
     if det_exact(alphas[0]) == 0:
         raise ValueError("alpha^0 is singular")
@@ -438,7 +428,7 @@ def _check_counts(witness: KeyLemmaWitness) -> None:
 def _check_alphas_in_supports(witness: KeyLemmaWitness, basis: Sequence[ExactMatrix]) -> None:
     """Every alpha's coordinates in the basis vanish off the supports' union."""
     union = witness.supports_union()
-    coords = _stacked(witness.alphas, witness.n) * invert(_stacked(basis, witness.n))
+    coords = _stacked(witness.alphas) * invert(_stacked(basis))
     for which, row in enumerate(coords):
         if any(x for idx, x in enumerate(row) if idx not in union):
             raise ValueError(f"alpha^{which} uses basis vectors outside the supports")
@@ -637,7 +627,7 @@ def key_lemma_search(
     basis = list(basis)
     if len(basis) != n * n:
         raise KeyLemmaStageError("stage P0: basis must have n^2 elements")
-    if not _independent_rows(_stacked(basis, n)):
+    if not _independent_rows(_stacked(basis)):
         raise KeyLemmaStageError("stage P0: basis does not span the matrix space")
     residues = [reduce_mod(b) for b in basis]
     if any(r is None for r in residues):

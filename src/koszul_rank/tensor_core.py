@@ -24,6 +24,7 @@ from .exact_linalg import (
     ExactMatrix,
     _coerce,
     _format_rational,
+    _independent_rows,
     rank_exact,
     vector_from_json,
     vector_to_json,
@@ -181,7 +182,7 @@ def slice_family(tensor: Tensor3, alphas: Sequence[Sequence]) -> SliceFamily:
     stacked = ExactMatrix([list(a) for a in alphas])
     if stacked.cols != tensor.dim_a:
         raise ValueError("length mismatch")
-    if rank_exact(stacked) != count:
+    if not _independent_rows(stacked):
         raise ValueError("subspace not (2p+1)-dimensional")
     slices = tuple(contract_a(tensor, a) for a in alphas)
     return SliceFamily((count - 1) // 2, tensor.dim_b, tensor.dim_c, slices)

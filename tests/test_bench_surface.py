@@ -3,8 +3,8 @@
 perfbench/tracer.py wraps package functions and ExactMatrix.__mul__ by
 name, reads symbolic grids through SymbolicBlockMatrix.labels and counts
 key-lemma samples through the evaluate field of each stage's
-PolynomialEvaluator; perfbench/workloads.py
-replays key-lemma witnesses from the CLI's JSON.  Both are loaded by path
+PolynomialEvaluator, and reads rows and cols of the matrices it counts;
+perfbench/workloads.py replays key-lemma witnesses from the CLI's JSON.  Both are loaded by path
 and only read here.
 """
 
@@ -60,3 +60,22 @@ def test_traced_cli_runs_keep_the_benchmark_surface(capsys):
 def test_traced_p1_keylemma_run_keeps_the_benchmark_surface(capsys):
     # the benchmark replays p = 1 witnesses too (n = 6 and 8)
     check_traced_keylemma_run(capsys, "3", "1")
+
+
+def test_traced_verify_runs_keep_the_benchmark_surface(capsys):
+    # the verify workload reaches det_exact, invert and ExactMatrix.__mul__
+    # only through the identity suites
+    tracer = load("tracer").Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify", "--suite", "detlemmas", "--trials", "3"]) == 0
+        assert cli.main(["verify", "--suite", "p2", "--n", "2", "--trials", "1"]) == 0
+        capsys.readouterr()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["exact_linalg.det_exact.cells"] > 0
+    assert metrics["exact_linalg.invert.calls"] > 0
+    assert metrics["exact_linalg.matmul.scalar_mults"] > 0
+    assert metrics["suites.calls"] == 2 and metrics["suites.checks"] > 0
+    assert metrics["suites.checks_failed"] == 0

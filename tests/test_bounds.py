@@ -288,7 +288,8 @@ def test_certify_ranks_only_the_commutator_grid(monkeypatch):
         monkeypatch.setattr(module, "rank_mod", spy)
         monkeypatch.setattr(module, "rank_mod_rows", spy_rows)
     assert main(["certify", "--matmul", "3,3,3", "--p", "3"]) == 0
-    assert shapes and set(shapes) == {(45, 45)}
+    # 7 x 9 is the stack of the 7 covectors, ranked by the independence check
+    assert (45, 45) in shapes and set(shapes) <= {(45, 45), (7, 9)}
 
 
 def test_certify_falls_back_when_x0_is_singular_over_q():

@@ -463,3 +463,21 @@ def test_output_to_file(tmp_path, capsys):
     code, out = run(capsys, "bounds", "--n", "10", "--output", str(target))
     assert code == 0 and out == ""
     assert "strassen" in target.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--n", "5"),
+        ("certify", "--matmul", "2,2,2", "--p", "1"),
+        ("keylemma", "--n", "3", "--p", "1"),
+    ],
+)
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code = main([*argv, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --output {target}: ")
+    assert "Traceback" not in captured.err

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -502,7 +503,6 @@ def test_integer_product_builds_no_fraction(monkeypatch):
         raise AssertionError("an int x int product built a Fraction or scaled a row")
 
     monkeypatch.setattr(exact_linalg, "Fraction", refuse)
-    monkeypatch.setattr(exact_linalg, "_scaled_rows", refuse)
     for x, y in pairs:
         product = x * y
         expected = [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
@@ -525,6 +525,80 @@ def test_invert_permutation_matrix_is_its_transpose_with_int_entries():
         assert inv == m.transpose()
         assert all(type(x) is int for row in inv for x in row)
 
+
+
+# -- int rows over one denominator ----------------------------------------------
+
+SEVENS = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 7, 14, 21, 49]))
+
+
+@st.composite
+def sevens_grids(draw):
+    """Rows of up to 4 x 4 rationals; some denominators are multiples of 7."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(SEVENS, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def _rank_by_minors(grid, prime):
+    """The largest k with a k x k minor of an integer grid nonzero mod prime."""
+    for k in range(min(len(grid), len(grid[0])), 0, -1):
+        for rows in combinations(range(len(grid)), k):
+            for cols in combinations(range(len(grid[0])), k):
+                if cofactor_det([[grid[i][j] for j in cols] for i in rows]) % prime:
+                    return k
+    return 0
+
+
+@PROPERTY
+@given(sevens_grids())
+def test_integer_grid_is_the_per_row_lcm_scaling(rows):
+    grid, scale = [], 1
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        grid.append([int(x * d) for x in row])
+        scale *= d
+    m = ExactMatrix(rows)
+    assert exact_linalg._integer_grid(m) == (grid, scale)
+    assert rank_mod(m, 7) == _rank_by_minors(grid, 7)
+    if m.is_square:
+        assert det_mod(m, 7) == cofactor_det(grid) % 7
+
+
+@PROPERTY
+@given(square_matrices(st.just(0) | RATIONALS))
+def test_invert_is_a_two_sided_inverse(m):
+    if det_exact(m) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert(m)
+    else:
+        inverse = invert(m)
+        assert m * inverse == inverse * m == ExactMatrix.identity(m.rows)
+
+
+def test_invert_zero_leading_entries_and_negative_determinants():
+    for rows in (
+        [[0, 1], [1, 0]],
+        [[0, 3], [Fraction(1, 7), 4]],
+        [[0, 0, Fraction(1, 3)], [0, 2, 5], [Fraction(7, 2), 1, 0]],
+    ):
+        m = ExactMatrix(rows)
+        assert det_exact(m) < 0
+        inverse = invert(m)
+        assert m * inverse == inverse * m == ExactMatrix.identity(m.rows)
+
+
+def test_one_rational_matrix_built_three_ways_is_one_value():
+    target = ExactMatrix([[Fraction(1, 2), Fraction(-2, 3)], [0, Fraction(5, 6)]])
+    quarter = ExactMatrix([[Fraction(1, 4), 0], [0, Fraction(1, 4)]])
+    product = quarter * ExactMatrix([[2, Fraction(-8, 3)], [0, Fraction(10, 3)]])
+    total = ExactMatrix([[Fraction(1, 6), Fraction(-1, 3)], [Fraction(1, 3), Fraction(1, 2)]]) + ExactMatrix(
+        [[Fraction(1, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1, 3)]]
+    )
+    scaled = Fraction(1, 6) * ExactMatrix([[3, -4], [0, 5]])
+    assert product == total == scaled == target
+    assert hash(product) == hash(total) == hash(scaled) == hash(target)
+    assert len({product, total, scaled, target}) == 1
+    assert type(total[1, 0]) is int and total[0, 1] == Fraction(-2, 3)
 
 def test_equality_and_hash_ignore_entry_type():
     as_fractions = ExactMatrix([[Fraction(3), Fraction(0)], [Fraction(-1), Fraction(1, 2)]])

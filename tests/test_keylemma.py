@@ -37,7 +37,7 @@ from koszul_rank.keylemma import (
     support_restriction_search,
     validate_witness,
 )
-from koszul_rank import keylemma
+from koszul_rank import exact_linalg, keylemma
 from koszul_rank.keylemma import _matrix_from_coords
 from koszul_rank.tensor_core import SliceFamily
 from oracles import gauss_rank
@@ -252,8 +252,8 @@ def test_basis_span_check_is_modular_first(monkeypatch):
     # rank_mod == n^2 proves that the basis spans; the exact elimination of
     # the n^2 x n^2 stack runs only when the modular rank comes out short
     sides = []
-    real = keylemma.rank_exact
-    monkeypatch.setattr(keylemma, "rank_exact", lambda m: sides.append(m.rows) or real(m))
+    real = exact_linalg.rank_exact
+    monkeypatch.setattr(exact_linalg, "rank_exact", lambda m: sides.append(m.rows) or real(m))
     key_lemma_search(3, 1, seed=0)
     assert 9 not in sides
     basis = elementary_basis(3)
@@ -267,15 +267,15 @@ def test_alpha_independence_check_is_modular_first(monkeypatch):
     # rank_mod == 2p + 1 proves the alphas independent; the exact elimination
     # of their stack runs only when the modular rank comes out short
     sides = []
-    real = keylemma.rank_exact
-    monkeypatch.setattr(keylemma, "rank_exact", lambda m: sides.append(m.rows) or real(m))
+    real = exact_linalg.rank_exact
+    monkeypatch.setattr(exact_linalg, "rank_exact", lambda m: sides.append(m.rows) or real(m))
     witness = key_lemma_search(3, 1, seed=0)
     validate_witness(witness, elementary_basis(3))
     assert sides == []
     # alpha^1 + prime * E_00 is alpha^1 mod the prime, yet independent over Q
     alphas = witness.alphas[:2] + (witness.alphas[1] + elementary_basis(3)[0] * RANK_PRIME,)
     stacked = [[a[i, j] for i in range(3) for j in range(3)] for a in alphas]
-    assert gauss_rank(stacked) == 3 and keylemma.rank_mod(ExactMatrix(stacked)) == 2
+    assert gauss_rank(stacked) == 3 and exact_linalg.rank_mod(ExactMatrix(stacked)) == 2
     tampered = dataclasses.replace(witness, alphas=alphas)
     with pytest.raises(ValueError) as info:
         validate_witness(tampered, elementary_basis(3))

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from koszul_rank.exact_linalg import ExactMatrix, commutator, rank_exact, random_int_matrix
+from koszul_rank.exact_linalg import (
+    RANK_PRIME,
+    ExactMatrix,
+    commutator,
+    random_int_matrix,
+    rank_exact,
+    rank_mod,
+)
 from koszul_rank.tensor_core import (
     RankOneTerm,
     Tensor3,
@@ -151,6 +158,25 @@ def test_slice_family_examples():
     assert basis_family.slices[0] == ExactMatrix([[1, 0], [0, 0]])
     assert basis_family.slices[1].is_zero() and basis_family.slices[2].is_zero()
 
+
+
+def test_slice_family_independence_is_decided_over_q():
+    # the third covector is the first plus RANK_PRIME times a unit vector:
+    # dependent mod the prime, independent over Q, so the modular rank comes
+    # out short and the exact elimination must accept the covectors
+    t = matmul_tensor(2, 2, 2)
+    alphas = [[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, RANK_PRIME, 1]]
+    assert rank_mod(ExactMatrix(alphas)) == 2 and rank_exact(ExactMatrix(alphas)) == 3
+    assert slice_family(t, alphas).slices[2] == contract_a(t, alphas[2])
+    # rational covectors whose denominators are multiples of the prime
+    scaled = [[Fraction(x, RANK_PRIME) for x in a] for a in alphas]
+    assert slice_family(t, scaled).p == 1
+    for dependent in (
+        [[1, 0, 0, 1], [0, 1, 0, 0], [2, 3, 0, 2]],
+        [[1, 0, 0, 1], [0, 1, 0, 0], [Fraction(1, RANK_PRIME), 0, 0, Fraction(1, RANK_PRIME)]],
+    ):
+        with pytest.raises(ValueError, match="subspace"):
+            slice_family(t, dependent)
 
 def test_verify_decomposition_unit_terms():
     t = matmul_tensor(2, 2, 2)
