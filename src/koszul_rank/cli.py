@@ -17,6 +17,7 @@ flattening, m times smaller on each side (bounds.certify_border_rank).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -333,7 +334,9 @@ def _cmd_keylemma(args) -> int:
     return _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="koszul-rank",
         description="Flattening-based rank lower bounds for matrix multiplication tensors",

@@ -26,7 +26,14 @@ Beside Bareiss sits the one residue core on plain int rows mod a prime
 (default RANK_PRIME = 2^61 - 1): reduce_mod maps a matrix to its entrywise
 residues, invert_mod, mul_mod and commutator_mod work on the rows,
 linear_map_mod tabulates an affine map of one n x n grid as packed ints, and
-rank_mod_rows and det_mod_rows row-echelon them.  rank_mod and det_mod are
+rank_mod_rows and det_mod_rows row-echelon them.  mul_mod and commutator_mod
+share one packed-row kernel, _product_mod: each row of the right factor is
+reduced and packed into one int, residue k at bit k * bits with
+bits = 2 bits(prime) + bits(number of terms), so an output row is one C-level
+sum of the reduced left row times the packed rows, read back by shifting and
+masking.  A slot sums at most terms * (prime - 1)^2 < 2^bits, so no slot
+carries into the next.  The commutator is one such product, row i being
+[X[i], -Y[i]] times Y stacked above X.  rank_mod and det_mod are
 the ExactMatrix entry points on its integer-scaled copy.  Both are sound in
 one direction only.  rank_mod never exceeds the exact rank, so it may stand
 in for rank_exact only where a lower rank can only weaken a result
@@ -62,7 +69,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -428,22 +435,50 @@ def det_mod_rows(rows: list[list[int]], prime: int = RANK_PRIME) -> int:
     return _echelon_mod(rows, len(rows), prime, stop_at_gap=True)[1]
 
 
+def _product_mod(
+    left: Sequence[Sequence[int]], right: Sequence[Sequence[int]], ncols: int, prime: int
+) -> list[list[int]]:
+    """Rows of left times the grid of right rows, ncols wide, entries in [0, prime).
+
+    Each right row is reduced and packed into one int, residue k at bit
+    k * bits with bits = 2 bits(prime) + bits(len(right)).  A left row,
+    reduced, times the packed rows is then one C-level sum per output row:
+    slot k holds at most len(right) * (prime - 1)^2 < 2^bits, so no slot
+    carries into the next, and shifting and masking read the slots back.
+    """
+    bits = 2 * prime.bit_length() + len(right).bit_length()
+    mask = (1 << bits) - 1
+    packed = []
+    for row in right:
+        total = 0
+        for v in reversed(row):
+            total = total << bits | v % prime
+        packed.append(total)
+    shifts = range(0, ncols * bits, bits)
+    out = []
+    for row in left:
+        total = sum(map(mul, [v % prime for v in row], packed))
+        out.append([(total >> s & mask) % prime for s in shifts])
+    return out
+
+
 def mul_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> list[list[int]]:
     """The product of two integer grids, entries reduced into [0, prime)."""
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) % prime for col in cols] for row in x]
+    ncols = len(y[0]) if y else 0
+    if not {len(y)}.issuperset(map(len, x)) or not {ncols}.issuperset(map(len, y)):
+        raise ValueError("incompatible shapes")
+    return _product_mod(x, y, ncols, prime)
 
 
 def commutator_mod(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], prime: int = RANK_PRIME) -> list[list[int]]:
-    """[X, Y] = XY - YX of two square integer grids, entries in [0, prime)."""
-    x_cols, y_cols = list(zip(*x)), list(zip(*y))
-    return [
-        [
-            (sum(map(mul, x_row, y_col)) - sum(map(mul, y_row, x_col))) % prime
-            for x_col, y_col in zip(x_cols, y_cols)
-        ]
-        for x_row, y_row in zip(x, y)
-    ]
+    """[X, Y] = XY - YX of two square integer grids, entries in [0, prime).
+
+    One packed product: row i is [X[i], -Y[i]] times Y stacked above X.
+    """
+    n = len(x)
+    if len(y) != n or not {n}.issuperset(map(len, chain(x, y))):
+        raise ValueError("incompatible shapes")
+    return _product_mod([[*x_row, *map(neg, y_row)] for x_row, y_row in zip(x, y)], [*y, *x], n, prime)
 
 
 Grid = Sequence[Sequence[int]]

@@ -548,10 +548,13 @@ def dump_symbolic(sym: SymbolicBlockMatrix, signed: bool = True) -> str:
     for row in token_grid:
         for j, tok in row.items():
             widths[j] = max(widths[j], len(tok))
-    lines = [
-        " ".join(row.get(j, ".").ljust(width) for j, width in enumerate(widths)).rstrip()
-        for row in token_grid
-    ]
+    empty = [".".ljust(width) for width in widths]
+    lines = []
+    for row in token_grid:
+        cells = empty.copy()
+        for j, tok in row.items():
+            cells[j] = tok.ljust(widths[j])
+        lines.append(" ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ from koszul_rank.cli import (
     MAX_DIMS_PRODUCT,
     MAX_KEYLEMMA_N,
     _flattening_too_large,
+    build_parser,
     main,
 )
 from koszul_rank import keylemma
@@ -383,6 +384,26 @@ def test_bad_or_oversized_input_exits_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_one_parser_and_print_the_same_bytes(capsys):
+    # the argparse tree is built once per process, so no parse may leave a
+    # trace in it: not a flag value, a default or an error exit
+    runs = [
+        ("bounds", "--n", "5", "--format", "csv"),
+        ("flatten", "--p", "2", "--unsigned"),
+        ("certify", "--matmul", "2,2,2", "--p", "1", "--trials", "1"),
+        ("certify", "--matmul", "2,2,2", "--p", "1"),
+        ("verify", "--suite", "detlemmas", "--trials", "3", "--seed", "4"),
+    ]
+    first = [run(capsys, *argv) for argv in runs]
+    assert main(["bounds", "--n", "0"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", "--p", "1", "--bogus"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in reversed(runs)][::-1] == first
+    assert build_parser() is build_parser()
 
 
 def test_crossover_takes_p_up_to_the_bounds_cap(capsys):

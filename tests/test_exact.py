@@ -403,22 +403,67 @@ def test_reduce_mod_maps_each_entry_to_its_residue(m, prime):
 
 
 @st.composite
-def square_pairs(draw):
-    """Two square rational matrices of one size up to 4x4."""
-    n = draw(st.integers(1, 4))
-    grid = st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
-    return ExactMatrix(draw(grid)), ExactMatrix(draw(grid))
+def product_operands(draw):
+    """A prime, rational x (a x b) and y (b x c), and square u, v (a x a); sides up to 12.
+
+    No denominator is a multiple of the prime, so every operand reduces.
+    """
+    prime = draw(st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
+    a, b, c = (draw(st.integers(1, 12)) for _ in range(3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    denominators = [d for d in range(1, 10) if d % prime]
+
+    def grid(rows, cols):
+        return ExactMatrix(
+            [[Fraction(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(cols)] for _ in range(rows)]
+        )
+
+    return prime, grid(a, b), grid(b, c), grid(a, a), grid(a, a), rng
+
+
+def _naive_mul_mod(x, y, prime):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y))) % prime for j in range(len(y[0]))] for i in range(len(x))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(square_pairs(), st.sampled_from([2, 3, 5, 7, RANK_PRIME]))
-def test_mul_mod_and_commutator_mod_reduce_the_exact_products(pair, prime):
-    # reduction mod the prime is a ring homomorphism where it is defined
-    x, y = pair
-    rx, ry = reduce_mod(x, prime), reduce_mod(y, prime)
-    assume(rx is not None and ry is not None)
-    assert mul_mod(rx, ry, prime) == reduce_mod(x * y, prime)
-    assert commutator_mod(rx, ry, prime) == reduce_mod(commutator(x, y), prime)
+@given(product_operands())
+def test_mul_mod_and_commutator_mod_reduce_the_exact_products(operands):
+    # reduction mod the prime is a ring homomorphism where it is defined, and
+    # both products read any integer representatives of the residues: here
+    # each is moved by up to two primes, so it may be negative or >= prime
+    prime, x, y, u, v, rng = operands
+
+    def representatives(m):
+        return [[r + prime * rng.randint(-2, 2) for r in row] for row in reduce_mod(m, prime)]
+
+    assert mul_mod(representatives(x), representatives(y), prime) == reduce_mod(x * y, prime)
+    assert commutator_mod(representatives(u), representatives(v), prime) == reduce_mod(commutator(u, v), prime)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 7, RANK_PRIME])
+@pytest.mark.parametrize("length", [1, 3, 7, 8, 15, 31])
+def test_packed_products_do_not_carry_at_the_largest_slots(prime, length):
+    # 3, 7 and 2^61 - 1 are 2^k - 1 and a length of 2^j - 1 terms puts a slot
+    # just under its 2^(2k + j) bound: every entry prime - 1 is the largest sum
+    top = prime - 1
+    x = [[top] * length for _ in range(3)]
+    y = [[top] * 5 for _ in range(length)]
+    assert mul_mod(x, y, prime) == _naive_mul_mod(x, y, prime)
+    square, ones = [[top] * length for _ in range(length)], [[1] * length for _ in range(length)]
+    for a, b in [(square, square), (square, ones), (ones, square)]:
+        ab, ba = _naive_mul_mod(a, b, prime), _naive_mul_mod(b, a, prime)
+        assert commutator_mod(a, b, prime) == [[(s - t) % prime for s, t in zip(*rows)] for rows in zip(ab, ba)]
+
+
+def test_mul_mod_and_commutator_mod_reject_mismatched_shapes():
+    with pytest.raises(ValueError):
+        mul_mod([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        mul_mod([[1, 2], [3, 4]], [[1, 0], [0]])
+    with pytest.raises(ValueError):
+        commutator_mod([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(ValueError):
+        commutator_mod([[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6]])
 
 
 @pytest.mark.parametrize("prime", [7, RANK_PRIME])
