@@ -18,8 +18,6 @@ from .tensor_core import (
     SliceFamily,
     Tensor3,
     contract_a,
-    left_kernel_dim,
-    lift_endomorphism,
     matmul_tensor,
     slice_family,
     strassen_decomposition,
@@ -27,7 +25,7 @@ from .tensor_core import (
     tensor_to_json,
     verify_decomposition,
 )
-from .wedge import WedgeBasis, differ_by_one, insert_sign, wedge_basis
+from .wedge import differ_by_one, insert_sign, wedge_basis
 from .flattening import (
     BlockLabel,
     SymbolicBlockMatrix,

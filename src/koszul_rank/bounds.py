@@ -7,7 +7,11 @@ The bound kinds:
   landsberg:p     (3 - 1/(p+1)) n^2 - (1 + 2p binom(2p,p)) n
   mr:p            (1 + p/(p+1)) nm + n^2 - (2 binom(2p,p+1) - binom(2p-2,p-1) + 2) n
   mr_p2_refined   (8/3) n^2 - 7n
-  mr_p3_refined   (11/4) n^2 - 17n
+  mr_p3_refined   (11/4) n^2 - 17n   (no source in PAPER.md, see below)
+
+mr_p3_refined has no source in the paper's abstract, which states a refined
+strategy for p = 2 only; it stays as a formula to compare against, not as a
+proved bound.
 
 All values are exact rationals; reports carry the integer ceiling and a
 vacuity flag (a bound below zero says nothing).  mr:p at p = 1 coincides with

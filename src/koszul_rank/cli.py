@@ -1,8 +1,9 @@
 """Command-line surface: bounds, crossover, flatten, certify, verify, keylemma.
 
 Every command takes --seed (default 0) and echoes it in the output; identical
-invocations produce byte-identical output.  bounds, crossover and verify take
---format: md (default), csv or json.  Exit codes: 0 success, 1 check failure,
+invocations produce byte-identical output.  bounds and crossover take
+--format: md (default), csv or json; verify takes md (default) or json, since
+its check details contain commas.  Exit codes: 0 success, 1 check failure,
 2 input error, 3 degenerate computation.  Input beyond the size caps below
 (MAX_SYMBOLIC_P for flatten and verify --p) and a keylemma --p without a
 stage list exit 2 before anything is allocated; keylemma with 2p + 1 > n^2
@@ -128,11 +129,11 @@ def _emit(text: str, path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
-    """--seed and --output; --format too for the commands that read it."""
+def _add_common(parser: argparse.ArgumentParser, formats: Sequence[str] = ()) -> None:
+    """--seed and --output; --format too, with these choices, for the commands that read it."""
     parser.add_argument("--seed", type=int, default=0, help="root seed (echoed in output)")
     if formats:
-        parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
+        parser.add_argument("--format", choices=formats, default="md")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
@@ -347,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n", type=int, required=True)
     p_bounds.add_argument("--m", type=int, default=None)
     p_bounds.add_argument("--p", type=int, default=3, help="max p for parametric kinds")
-    _add_common(p_bounds, formats=True)
+    _add_common(p_bounds, formats=("md", "csv", "json"))
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_cross = sub.add_parser("crossover", help="first n where bound a >= bound b")
     p_cross.add_argument("--a", required=True, help="bound kind, e.g. mr:3")
     p_cross.add_argument("--b", required=True)
     p_cross.add_argument("--n-max", type=int, default=1000)
-    _add_common(p_cross, formats=True)
+    _add_common(p_cross, formats=("md", "csv", "json"))
     p_cross.set_defaults(func=_cmd_crossover)
 
     p_flat = sub.add_parser("flatten", help="dump symbolic or numeric flattening")
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=0)
     p_verify.add_argument("--p", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=0)
-    _add_common(p_verify, formats=True)
+    _add_common(p_verify, formats=("md", "json"))
     p_verify.set_defaults(func=_cmd_verify)
 
     p_key = sub.add_parser("keylemma", help="run the staged witness pipeline")

@@ -4,9 +4,8 @@ A tensor lives in A (x) B (x) C with sparse coordinate storage.  The module
 covers what the rest of the package needs: building the matrix multiplication
 tensor, contracting against covectors of A*, extracting ordered slice
 families, splitting off an identity factor (T = T' (x) Id_m in the B and C
-factors, as for every matrix multiplication tensor), verifying rank-one
-decompositions exactly, left kernels, and the block-diagonal endomorphism
-lift whose commutator rank scales by the number of copies.
+factors, as for every matrix multiplication tensor), and verifying rank-one
+decompositions exactly.
 
 Pair indices are flattened row-major everywhere: (i, j) -> i * cols + j.
 """
@@ -25,7 +24,6 @@ from .exact_linalg import (
     _coerce,
     _format_rational,
     _independent_rows,
-    rank_exact,
     vector_from_json,
     vector_to_json,
 )
@@ -213,42 +211,6 @@ def verify_decomposition(tensor: Tensor3, terms: Sequence[RankOneTerm]) -> bool:
                     elif key in residual:
                         del residual[key]
     return not residual
-
-
-def unfold_a(tensor: Tensor3) -> ExactMatrix:
-    """dimA x (dimB*dimC) unfolding; row i holds the slice T[i, :, :]."""
-    cols = tensor.dim_b * tensor.dim_c
-    grid = [[0] * cols for _ in range(tensor.dim_a)]
-    for (i, j, k), value in tensor.entries.items():
-        grid[i][j * tensor.dim_c + k] = value
-    return ExactMatrix(grid)
-
-
-def left_kernel_dim(tensor: Tensor3) -> int:
-    """Dimension of {alpha : contraction by alpha is zero}."""
-    return tensor.dim_a - rank_exact(unfold_a(tensor))
-
-
-def lift_endomorphism(alpha: ExactMatrix, m: int) -> ExactMatrix:
-    """Block-diagonal lift: m copies of alpha, so rank(lift) = m * rank(alpha).
-
-    Commutators lift blockwise, so rank([lift(x), lift(y)]) = m * rank([x, y]).
-    """
-    if not alpha.is_square:
-        raise ValueError("alpha must be square")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = alpha.rows
-    size = n * m
-    grid = [[0] * size for _ in range(size)]
-    for s in range(m):
-        base = s * n
-        for i in range(n):
-            row = alpha.row(i)
-            for j in range(n):
-                if row[j]:
-                    grid[base + i][base + j] = row[j]
-    return ExactMatrix(grid)
 
 
 def tensor_to_json(tensor: Tensor3) -> dict:

@@ -10,39 +10,18 @@ smaller than k, i.e. the sign is (-1)^(position of k in the sorted result).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 WedgeIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WedgeBasis:
-    """Lexicographic enumeration of all cardinality-c subsets of {0..2p}."""
-
-    p: int
-    cardinality: int
-    order: tuple[WedgeIndex, ...]
-
-    def split_on_zero(self) -> tuple[list[WedgeIndex], list[WedgeIndex]]:
-        """(subsets containing 0, subsets not containing 0), lex inside each."""
-        with_zero = [s for s in self.order if 0 in s]
-        without_zero = [s for s in self.order if 0 not in s]
-        return with_zero, without_zero
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-def wedge_basis(p: int, cardinality: int) -> WedgeBasis:
+def wedge_basis(p: int, cardinality: int) -> tuple[WedgeIndex, ...]:
+    """All cardinality-c subsets of {0..2p} in lex order, those containing 0 first."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if cardinality not in (p, p + 1):
         raise ValueError("cardinality must be p or p+1")
-    order = tuple(combinations(range(2 * p + 1), cardinality))
-    assert len(order) == comb(2 * p + 1, cardinality)
-    return WedgeBasis(p, cardinality, order)
+    return tuple(combinations(range(2 * p + 1), cardinality))
 
 
 def insert_sign(k: int, subset: WedgeIndex) -> tuple[int, WedgeIndex] | None:

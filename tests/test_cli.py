@@ -439,6 +439,14 @@ def test_format_is_an_error_where_no_table_is_printed(capsys, argv):
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
+def test_verify_format_csv_is_an_error(capsys):
+    # check details contain commas, so verify prints no CSV
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "p3", "--format", "csv"])
+    assert info.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_format_is_taken_by_the_table_commands(capsys):
     for argv in (
         ("bounds", "--n", "5"),

@@ -784,3 +784,33 @@ def test_matrix_json_roundtrip():
     assert matrix_from_json(json.loads(json.dumps(obj))) == m
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [["1", "2"]]})
+
+
+_SQUARE = ExactMatrix.identity(2)
+_WIDE = ExactMatrix([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ExactMatrix([[1, 2], [3]]), "ragged rows", id="ragged"),
+        pytest.param(lambda: _SQUARE + _WIDE, "incompatible shapes", id="add"),
+        pytest.param(lambda: _SQUARE - ExactMatrix.identity(3), "incompatible shapes", id="sub"),
+        pytest.param(lambda: invert(_WIDE), "inverse of non-square matrix", id="invert"),
+        pytest.param(lambda: _WIDE.trace(), "trace of non-square matrix", id="trace"),
+        pytest.param(lambda: schur_block_det(_SQUARE, _SQUARE, _SQUARE, _WIDE), "incompatible shapes", id="schur"),
+        pytest.param(
+            lambda: det_rank_update(_SQUARE, ExactMatrix.zeros(2, 1), ExactMatrix.zeros(2, 2)),
+            "incompatible shapes",
+            id="rank-update",
+        ),
+        pytest.param(
+            lambda: det_rank_update(ExactMatrix([[1, 2], [2, 4]]), ExactMatrix.zeros(2, 1), ExactMatrix.zeros(2, 1)),
+            "matrix determinant lemma pivot singular",
+            id="rank-update-pivot",
+        ),
+    ],
+)
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -314,6 +314,17 @@ def test_schur_terms_rejects_a_broken_corner_or_a_quadratic_term(monkeypatch, ce
         schur_terms.__wrapped__(2)  # past the cache, which holds the true grid's terms
 
 
+def test_check_structure_names_the_broken_corner_row(monkeypatch):
+    grid = commutator_pattern(2)
+    rows = [dict(row) for row in grid.rows]
+    rows[3][0] = BlockLabel.of_commutator(1, 2)  # off the diagonal of the corner
+    bad = SymbolicBlockMatrix(grid.block_rows, grid.block_cols, tuple(rows))
+    monkeypatch.setattr(flattening, "commutator_pattern", lambda p: bad)
+    corner = next(c for c in check_structure(2).checks if c.name == "corner-diag-[X1,X2]")
+    assert not corner.passed
+    assert corner.detail.startswith("corner block row 1 ")
+
+
 def test_commutator_pattern_single_cells_up_to_p6():
     # building the grid checks every cell (StructureError would propagate);
     # p = 6 is past the CLI cap
@@ -635,3 +646,25 @@ def test_assemble_shares_one_zero_block_and_one_negation_per_label(monkeypatch):
         negative = {label for row in pattern.labels for label in row if not label.is_zero and label.sign < 0}
         assert calls == {"zeros": 1, "neg": len(negative)}
     assert assemble(sym, fam) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: BlockLabel.of_commutator(2, 2), "commutator indices must differ", id="commutator-ii"),
+        pytest.param(lambda: flattening._parse_token("+Y1"), "bad token", id="not-x"),
+        pytest.param(lambda: flattening._parse_token("-X123"), "bad token", id="three-digits"),
+        pytest.param(lambda: parse_symbolic("+X1 +X3_3"), "commutator indices must differ", id="underscore-ii"),
+    ],
+)
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_parse_symbolic_reads_the_underscore_tokens_of_two_digit_indices():
+    grid = commutator_pattern(5)
+    text = dump_symbolic(grid)
+    assert "X1_10" in text or "X2_10" in text
+    assert parse_symbolic(text).same_pattern(grid)
+    assert parse_symbolic("-X3_12 .").label(0, 0) == BlockLabel.of_commutator(3, 12, -1)

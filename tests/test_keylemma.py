@@ -27,6 +27,7 @@ from koszul_rank.flattening import assemble, assemble_mod, commutator_matrix, co
 from koszul_rank.keylemma import (
     KeyLemmaStageError,
     PolynomialEvaluator,
+    SupportWitness,
     degree_along_line,
     elementary_basis,
     generic_nonvanishing,
@@ -34,6 +35,7 @@ from koszul_rank.keylemma import (
     key_lemma_search,
     reduced_diagonal_degree,
     refined_p2_degree,
+    shrink_witness,
     support_restriction_search,
     validate_witness,
 )
@@ -140,6 +142,24 @@ def test_support_search_stop_at():
     witness = support_restriction_search(poly, seed=2, stop_at=6)
     assert 3 <= len(witness.support) <= 6
     assert poly.evaluate(witness.point) == witness.value != 0
+
+
+def test_support_search_escalates_twice_before_reporting_an_oversized_support():
+    # x0 x1 x2 vanishes off the full support, so no round shrinks it; the
+    # degree bound 1 is a lie, and the search tries each 2-support at
+    # budgets 4, 32 and 256 before it gives up
+    calls = []
+    poly = PolynomialEvaluator(3, 1, lambda x: calls.append(x) or x[0] * x[1] * x[2])
+    with pytest.raises(KeyLemmaStageError, match="support 3 exceeds degree bound 1"):
+        support_restriction_search(poly, seed=1)
+    assert len(calls) == 1 + 3 * (4 + 32 + 256)
+
+
+def test_shrink_witness_keeps_its_input_when_no_small_point_is_nonzero():
+    # shrink_witness draws at spans 99 * 2^k, k < 24, all below 10^9
+    poly = PolynomialEvaluator(2, 1, lambda x: int(abs(x[0]) > 10**9))
+    witness = SupportWitness((0,), (2 * 10**9, 0), 1)
+    assert shrink_witness(poly, witness, seed=3) is witness
 
 
 def test_degree_along_line_determinants():
@@ -530,19 +550,33 @@ def residue_slices(n, count=4):
     )
 
 
+def check_schur_verdict(slices, p):
+    """det(grid) = det([X_1, X_2])^C(2p-2, p-1) det(S) mod 7, with S from _schur_map."""
+    n, last = len(slices[0]), 2 * p
+    xs = dict(enumerate(slices, start=1))
+    corner = det_mod_rows(commutator_mod(xs[1], xs[2], 7), 7) ** comb(2 * p - 2, p - 1) % 7
+    assume(corner)
+    schur = keylemma._schur_map({i: xs[i] for i in range(1, last)}, None, n, p, prime=7)
+    value = det_mod_rows(schur(xs[last]), 7)
+    commutators = {(i, j): commutator_mod(xs[i], xs[j], 7) for i in xs for j in xs if i < j}
+    full = det_mod_rows(assemble_mod(commutator_pattern(p), commutators, n, 7), 7)
+    assert bool(value) == bool(full)
+    assert full == corner * value % 7
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.integers(2, 4).flatmap(residue_slices))
 def test_schur_verdict_is_the_full_grid_verdict_mod_7(slices):
-    n = len(slices[0])
-    xs = dict(enumerate(slices, start=1))
-    corner = det_mod_rows(commutator_mod(xs[1], xs[2], 7), 7) ** 2 % 7
-    assume(corner)
-    schur = keylemma._schur_map({i: xs[i] for i in (1, 2, 3)}, None, n, 2, prime=7)
-    value = det_mod_rows(schur(xs[4]), 7)
-    commutators = {(i, j): commutator_mod(xs[i], xs[j], 7) for i in range(1, 5) for j in range(i + 1, 5)}
-    full = det_mod_rows(assemble_mod(commutator_pattern(2), commutators, n, 7), 7)
-    assert bool(value) == bool(full)
-    assert full == corner * value % 7
+    check_schur_verdict(slices, 2)
+
+
+# at p = 2 every term of S contains X_4; at p = 3, 72 of its 174 terms lack
+# X_6, so this runs the constants of the linear_map_mod table.  The p = 3
+# grid is singular for n < 4, where both sides would read 0.
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(residue_slices(4, 6))
+def test_schur_verdict_is_the_full_grid_verdict_mod_7_at_p3(slices):
+    check_schur_verdict(slices, 3)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -660,3 +694,21 @@ def test_reduced_diagonal_degree_at_p1_is_a_constant():
     assert reduced_diagonal_degree(3, 1, seed=0) == (0, 0)
     constant = PolynomialEvaluator(0, 1, lambda x: Fraction(5))
     assert degree_along_line(constant, seed=2) == 0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: h_value(5, 0), ValueError, "p must be >= 1", id="h-p"),
+        pytest.param(lambda: key_lemma_search(1, 1), ValueError, "n must be >= 2", id="search-n"),
+        pytest.param(
+            lambda: key_lemma_search(2, 1, basis=elementary_basis(2)[:3]),
+            KeyLemmaStageError,
+            r"stage P0: basis must have n\^2 elements",
+            id="search-basis",
+        ),
+    ],
+)
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

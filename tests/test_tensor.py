@@ -1,4 +1,4 @@
-"""Tensors, slices, decompositions, kernels, and the endomorphism lift."""
+"""Tensors, slices, decompositions and the identity factor."""
 
 import random
 from fractions import Fraction
@@ -8,26 +8,22 @@ import pytest
 from koszul_rank.exact_linalg import (
     RANK_PRIME,
     ExactMatrix,
-    commutator,
-    random_int_matrix,
     rank_exact,
     rank_mod,
 )
 from koszul_rank.tensor_core import (
     RankOneTerm,
+    SliceFamily,
     Tensor3,
     contract_a,
     decomposition_to_json,
     decomposition_from_json,
     identity_factor,
-    left_kernel_dim,
-    lift_endomorphism,
     matmul_tensor,
     slice_family,
     strassen_decomposition,
     tensor_from_json,
     tensor_to_json,
-    unfold_a,
     verify_decomposition,
 )
 from oracles import apply_bilinear
@@ -224,36 +220,14 @@ def test_rank_one_term_rejects_zero_factor():
         RankOneTerm((0, 0), (1, 0), (1, 0))
 
 
-def test_left_kernel_examples():
-    for n, m in [(2, 2), (2, 3), (3, 3)]:
-        assert left_kernel_dim(matmul_tensor(n, n, m)) == 0
-    zero = Tensor3((5, 2, 2), {})
-    assert left_kernel_dim(zero) == 5
-    single = Tensor3((3, 2, 2), {(0, 0, 0): 1})
-    assert left_kernel_dim(single) == 2
-
-
 def test_unfolding_rank_is_full_for_matmul():
+    # the dimA x (dimB*dimC) unfolding: row i holds the slice T[i, :, :]
     for n, l, m in [(2, 2, 2), (2, 3, 2), (3, 2, 2)]:
-        assert rank_exact(unfold_a(matmul_tensor(n, l, m))) == n * l
-
-
-def test_lift_endomorphism_examples():
-    assert lift_endomorphism(ExactMatrix.identity(3), 2) == ExactMatrix.identity(6)
-    rank1 = ExactMatrix([[1, 2], [2, 4]])
-    assert rank_exact(lift_endomorphism(rank1, 3)) == 3
-    with pytest.raises(ValueError):
-        lift_endomorphism(ExactMatrix([[1, 2, 3], [4, 5, 6]]), 2)
-
-
-def test_lift_commutator_rank_scales_by_copies():
-    rng = random.Random(10)
-    for trial in range(8):
-        m = rng.randint(1, 3)
-        a1 = random_int_matrix(rng, 2, 2)
-        a2 = random_int_matrix(rng, 2, 2)
-        lifted = commutator(lift_endomorphism(a1, m), lift_endomorphism(a2, m))
-        assert rank_exact(lifted) == m * rank_exact(commutator(a1, a2)), f"trial {trial}"
+        t = matmul_tensor(n, l, m)
+        rows = [[0] * (t.dim_b * t.dim_c) for _ in range(t.dim_a)]
+        for (i, j, k), value in t.entries.items():
+            rows[i][j * t.dim_c + k] = value
+        assert rank_exact(ExactMatrix(rows)) == n * l
 
 
 def test_tensor_json_roundtrip():
@@ -277,3 +251,34 @@ def test_tensor_validation():
 def test_decomposition_json_roundtrip():
     terms = strassen_decomposition()
     assert decomposition_from_json(decomposition_to_json(terms)) == terms
+
+
+_I2, _I3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Tensor3((2, 0, 2), {}), "zero dimension", id="tensor-dims"),
+        pytest.param(lambda: SliceFamily(0, 2, 2, (_I2,)), r"p must be >= 1", id="family-p"),
+        pytest.param(lambda: SliceFamily(1, 2, 2, (_I2, _I2)), r"need exactly 2p\+1 slices", id="family-count"),
+        pytest.param(lambda: SliceFamily(1, 2, 2, (_I2, _I2, _I3)), "slices must share one shape", id="family-shapes"),
+        pytest.param(
+            lambda: slice_family(matmul_tensor(2, 2, 2), [[1, 0, 0, 0]] * 4), "need an odd number", id="even-count"
+        ),
+        pytest.param(
+            lambda: slice_family(matmul_tensor(2, 2, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            "length mismatch",
+            id="covector-length",
+        ),
+        pytest.param(
+            lambda: verify_decomposition(matmul_tensor(2, 2, 2), [RankOneTerm((1,), (1,), (1,))]),
+            "term shape mismatch",
+            id="term-shape",
+        ),
+        pytest.param(lambda: tensor_from_json({"dims": [2, 2], "entries": []}), "dims must have length 3", id="json-dims"),
+    ],
+)
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
